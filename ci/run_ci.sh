@@ -76,6 +76,11 @@ run_config() {
     echo "=== [${name}] index ablation smoke ==="
     "${build_dir}/bench/ablation_index" \
       --elements 256 --max-records 16 --repeats 2
+    # End-to-end benchmark smoke: every workload, projected reads included,
+    # must come back element-exact with no index-footer fallback (--strict
+    # exits 1 on any failed op). Builds its own tree, build-e2e/.
+    echo "=== [${name}] e2e benchmark smoke ==="
+    python3 "${repo_root}/bench/e2e/run.py" --smoke --strict
   fi
   echo "=== [${name}] OK ==="
 }

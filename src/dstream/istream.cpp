@@ -447,14 +447,20 @@ bool IStream::readRecordOnce(bool sorted) {
     }
   }
 
-  // ---- projected data (strided positional reads) ---------------------------
+  // ---- projected data (windowed positional reads) --------------------------
   if (!projection_.empty()) {
     ByteBuffer projChunk;
-    if (!readProjectedChunk(header, headerBytes.size(), chunkSizes,
-                            myChunkBytes, recordStart, recordEnd,
-                            projChunk)) {
+    if (!projectChunk(header,
+                      recordStart + headerBytes.size() +
+                          header.sizeTableBytes(),
+                      chunkSizes, myChunkBytes, recordStart, recordEnd,
+                      projChunk)) {
       return false;  // salvage skipped the record
     }
+    // The record is consumed: advance the shared cursor past data + trailer
+    // in one collective move (the data CRC cannot be verified — the full
+    // section was never fetched).
+    file_->seekShared(*node_, recordEnd);
     PCXX_OBS_COUNT(node_->obs(), DsIndexProjections, 1);
     return finishRecord(sorted, std::move(header), std::move(projChunk),
                         std::move(chunkSizes), recordStart, recordEnd, rid);
@@ -557,33 +563,59 @@ IStream::ProjectionMap IStream::projectionFor(
   return map;
 }
 
-bool IStream::readProjectedChunk(RecordHeader& header,
-                                 std::uint64_t headerLen,
-                                 std::vector<std::uint64_t>& chunkSizes,
-                                 std::uint64_t myChunkBytes,
-                                 std::uint64_t recordStart,
-                                 std::uint64_t recordEnd, ByteBuffer& out) {
+namespace {
+
+// A projected read fetches windows, not elements: one readAt spans
+// neighbouring elements while the unprojected gap before the next cover is
+// at most kProjectionGapBytes, and stops growing at kProjectionWindowBytes,
+// which bounds the scratch buffer. With four nodes contending on a 4-vCPU
+// x86 host a readAt costs ~2.5 us (memory) to ~3.5 us (posix) beyond its
+// copy, the price of copying 8-21 KiB, and under the chunk codec every
+// readAt decodes whole 64 KiB chunks however few bytes it wants. A gap of
+// one codec chunk (one stripe unit) therefore never copies more than a few
+// ops' worth of bytes for the op it saves.
+constexpr std::uint64_t kProjectionGapBytes = 64 * 1024;
+constexpr std::uint64_t kProjectionWindowBytes = 1024 * 1024;
+
+// Chunk total a node reports in the projection allgather when one of its
+// elements is smaller than the projected cover (a damaged size table).
+constexpr std::uint64_t kShortElement = ~std::uint64_t{0};
+
+}  // namespace
+
+void IStream::ProjectionMap::gather(const Byte* cover,
+                                    std::span<const std::uint64_t> sizes,
+                                    Byte* dst) const {
+  std::uint64_t pos = 0;
+  for (const std::uint64_t sz : sizes) {
+    for (size_t f = 0; f < offsets.size(); ++f) {
+      std::memcpy(dst, cover + (pos + offsets[f] - coverStart), lengths[f]);
+      dst += lengths[f];
+    }
+    pos += sz;
+  }
+}
+
+bool IStream::projectChunk(RecordHeader& header,
+                           std::optional<std::uint64_t> dataAt,
+                           std::vector<std::uint64_t>& chunkSizes,
+                           std::uint64_t myChunkBytes,
+                           std::uint64_t recordStart, std::uint64_t recordEnd,
+                           ByteBuffer& chunk) {
   // Throws UsageError identically on every node — the header bytes were
   // broadcast — so no vote is needed for shape violations.
   const ProjectionMap map = projectionFor(header);
 
-  // Element j of my chunk starts at dataAt + (bytes of preceding nodes'
-  // chunks) + (bytes of my preceding elements). The ordered size-table
-  // read only gave each node its own slice, so exchange the chunk totals.
-  const auto lens = node_->allgatherU64(myChunkBytes);
-  std::uint64_t before = 0;
-  for (int r = 0; r < node_->id(); ++r) {
-    before += lens[static_cast<size_t>(r)];
-  }
-
-  // Every element must carry the fixed prefix the projection reads from; a
-  // size table that says otherwise is node-local damage, so vote to keep
-  // the skip/throw decision collectively consistent.
-  std::uint64_t bad = 0;
+  // One collective serves both the element placement (element j of my
+  // chunk starts after the preceding nodes' chunks) and the damage vote:
+  // an element without the projected prefix is node-local size-table
+  // damage, and the sentinel keeps the skip/throw decision collective.
+  std::uint64_t mine = myChunkBytes;
   for (const std::uint64_t sz : chunkSizes) {
-    if (sz < map.coverEnd) bad = 1;
+    if (sz < map.coverEnd) mine = kShortElement;
   }
-  if (node_->allreduceSumU64(bad) != 0) {
+  const auto lens = node_->allgatherU64(mine);
+  if (std::find(lens.begin(), lens.end(), kShortElement) != lens.end()) {
     if (opts_.salvage) {
       return skipDamage(recordStart, recordEnd,
                         "element smaller than the projected field region");
@@ -593,91 +625,45 @@ bool IStream::readProjectedChunk(RecordHeader& header,
         "inconsistent with the record's insert shapes)");
   }
 
-  const std::uint64_t dataAt =
-      recordStart + headerLen + header.sizeTableBytes();
-  const std::uint64_t coverLen = map.coverEnd - map.coverStart;
-
-  // Absolute covering span per local element, coalescing neighbours when
-  // the skipped gap costs no more than the span it saves re-seeking for.
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> spans;
-  spans.reserve(chunkSizes.size());
-  std::uint64_t elemAbs = dataAt + before;
-  for (const std::uint64_t sz : chunkSizes) {
-    spans.emplace_back(elemAbs + map.coverStart, elemAbs + map.coverEnd);
-    elemAbs += sz;
-  }
-  out.clear();
-  out.reserve(chunkSizes.size() *
-              static_cast<size_t>(map.bytesPerElement));
-  ByteBuffer scratch;
-  size_t j = 0;
-  while (j < spans.size()) {
-    size_t k = j + 1;
-    std::uint64_t runEnd = spans[j].second;
-    while (k < spans.size() && spans[k].first - runEnd <= coverLen) {
-      runEnd = spans[k].second;
-      ++k;
+  ByteBuffer out(chunkSizes.size() * static_cast<size_t>(map.bytesPerElement));
+  if (!dataAt.has_value()) {
+    // The full chunk is already in memory: one window covers it.
+    if (!chunkSizes.empty()) {
+      map.gather(chunk.data() + map.coverStart, chunkSizes, out.data());
     }
-    const std::uint64_t runStart = spans[j].first;
-    scratch.resize(static_cast<size_t>(runEnd - runStart));
-    if (file_->readAt(*node_, runStart, scratch) != scratch.size()) {
-      throw IoError("projected read ran past end of file at offset " +
-                    std::to_string(runStart));
+  } else {
+    std::uint64_t elemAt = *dataAt;
+    for (int r = 0; r < node_->id(); ++r) {
+      elemAt += lens[static_cast<size_t>(r)];
     }
-    for (size_t e = j; e < k; ++e) {
-      // spans[e].first already includes coverStart, so fold it into the
-      // field offset (offsets[f] >= coverStart): every intermediate
-      // pointer stays inside scratch.
-      const Byte* elem = scratch.data() + (spans[e].first - runStart);
-      for (size_t f = 0; f < map.offsets.size(); ++f) {
-        const Byte* src = elem + (map.offsets[f] - map.coverStart);
-        out.insert(out.end(), src, src + map.lengths[f]);
+    ByteBuffer scratch;
+    Byte* dst = out.data();
+    size_t j = 0;
+    while (j < chunkSizes.size()) {
+      const std::uint64_t runStart = elemAt + map.coverStart;
+      std::uint64_t runEnd = elemAt + map.coverEnd;
+      elemAt += chunkSizes[j];
+      size_t k = j + 1;
+      while (k < chunkSizes.size() &&
+             elemAt + map.coverStart - runEnd <= kProjectionGapBytes &&
+             elemAt + map.coverEnd - runStart <= kProjectionWindowBytes) {
+        runEnd = elemAt + map.coverEnd;
+        elemAt += chunkSizes[k++];
       }
+      scratch.resize(static_cast<size_t>(runEnd - runStart));
+      if (file_->readAt(*node_, runStart, scratch) != scratch.size()) {
+        throw IoError("projected read ran past end of file at offset " +
+                      std::to_string(runStart));
+      }
+      map.gather(scratch.data(), {chunkSizes.data() + j, k - j}, dst);
+      dst += (k - j) * static_cast<size_t>(map.bytesPerElement);
+      j = k;
     }
-    j = k;
   }
-
-  // The record is consumed: advance the shared cursor past data + trailer
-  // in one collective move (the data CRC cannot be verified — the full
-  // section was never fetched).
-  file_->seekShared(*node_, recordEnd);
 
   // Rewrite the record to its projected shape: extraction sees exactly the
   // projected fields, each element now a fixed bytesPerElement slice.
-  header.inserts = map.descs;
-  chunkSizes.assign(chunkSizes.size(), map.bytesPerElement);
-  return true;
-}
-
-bool IStream::applyProjectionInMemory(RecordHeader& header, ByteBuffer& chunk,
-                                      std::vector<std::uint64_t>& chunkSizes,
-                                      std::uint64_t recordStart,
-                                      std::uint64_t recordEnd) {
-  const ProjectionMap map = projectionFor(header);
-  std::uint64_t bad = 0;
-  for (const std::uint64_t sz : chunkSizes) {
-    if (sz < map.coverEnd) bad = 1;
-  }
-  if (node_->allreduceSumU64(bad) != 0) {
-    if (opts_.salvage) {
-      return skipDamage(recordStart, recordEnd,
-                        "element smaller than the projected field region");
-    }
-    throw FormatError(
-        "element smaller than the projected field region (size table "
-        "inconsistent with the record's insert shapes)");
-  }
-  ByteBuffer proj;
-  proj.reserve(chunkSizes.size() * static_cast<size_t>(map.bytesPerElement));
-  std::uint64_t pos = 0;
-  for (const std::uint64_t sz : chunkSizes) {
-    for (size_t f = 0; f < map.offsets.size(); ++f) {
-      const Byte* src = chunk.data() + pos + map.offsets[f];
-      proj.insert(proj.end(), src, src + map.lengths[f]);
-    }
-    pos += sz;
-  }
-  chunk = std::move(proj);
+  chunk = std::move(out);
   header.inserts = map.descs;
   chunkSizes.assign(chunkSizes.size(), map.bytesPerElement);
   return true;
@@ -1104,8 +1090,8 @@ int IStream::tryPrefetched(bool sorted) {
   if (!projection_.empty()) {
     // The full chunk is already in memory (and CRC-verified above), so the
     // projection is a stride copy rather than a strided read.
-    if (!applyProjectionInMemory(header, r.dataChunk, chunkSizes, recordStart,
-                                 r.next)) {
+    if (!projectChunk(header, std::nullopt, chunkSizes, myChunkBytes,
+                      recordStart, r.next, r.dataChunk)) {
       restartPrefetch();
       return 0;
     }

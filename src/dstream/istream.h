@@ -199,6 +199,12 @@ class IStream {
     std::uint64_t bytesPerElement = 0;    // sum of lengths
     std::uint64_t coverStart = 0;         // first projected byte
     std::uint64_t coverEnd = 0;           // one past the last projected byte
+
+    /// The gather kernel of every projected read: copy the projected
+    /// fields of consecutive elements of `sizes` bytes each to `dst`.
+    /// `cover` points at the first element's first projected byte.
+    void gather(const Byte* cover, std::span<const std::uint64_t> sizes,
+                Byte* dst) const;
   };
 
   void openFile(const std::string& fileName);
@@ -213,22 +219,16 @@ class IStream {
   void restartPrefetch();
   void readNext(bool sorted);
   ProjectionMap projectionFor(const RecordHeader& header) const;
-  /// Synchronous-path projected data fetch: strided positional reads of
-  /// only the projected byte ranges, then rewrite of header/chunkSizes to
-  /// the projected shape and a collective seek past the record. False =
+  /// Rewrite this node's chunk of a record to the projected fields (and
+  /// header/chunkSizes to the projected shape). With `dataAt`, the record's
+  /// data section starts there and `chunk` is filled by windowed
+  /// positional reads of the projected byte ranges; without it `chunk`
+  /// already holds the full chunk (prefetch path). Collective. False =
   /// salvage skipped the record.
-  bool readProjectedChunk(RecordHeader& header, std::uint64_t headerLen,
-                          std::vector<std::uint64_t>& chunkSizes,
-                          std::uint64_t myChunkBytes,
-                          std::uint64_t recordStart, std::uint64_t recordEnd,
-                          ByteBuffer& out);
-  /// Prefetch-path projection: stride-copy the projected fields out of the
-  /// already-fetched full chunk (byte-identical to the strided read).
-  /// False = salvage skipped the record.
-  bool applyProjectionInMemory(RecordHeader& header, ByteBuffer& chunk,
-                               std::vector<std::uint64_t>& chunkSizes,
-                               std::uint64_t recordStart,
-                               std::uint64_t recordEnd);
+  bool projectChunk(RecordHeader& header, std::optional<std::uint64_t> dataAt,
+                    std::vector<std::uint64_t>& chunkSizes,
+                    std::uint64_t myChunkBytes, std::uint64_t recordStart,
+                    std::uint64_t recordEnd, ByteBuffer& chunk);
   /// One record-read attempt. True: a record is ready for extraction.
   /// False (salvage mode only): damage was skipped — the shared cursor has
   /// advanced past it and the caller should retry or stop at end of file.

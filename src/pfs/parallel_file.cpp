@@ -391,8 +391,12 @@ void ParallelFile::writeAt(rt::Node& node, std::uint64_t offset,
   const std::uint64_t index = performWrite(node, offset, data);
   foldCodecObs(node, codecBefore);
   const std::uint64_t cum = cumWritten_.fetch_add(data.size()) + data.size();
-  fs_->model_.chargeIndependentOp(node, offset, data.size(), storage_->size(),
-                                  cum, /*isWrite=*/true);
+  // The size probe takes a storage lock (or an fstat); skip it when the
+  // model would discard it.
+  if (fs_->model_.enabled()) {
+    fs_->model_.chargeIndependentOp(node, offset, data.size(),
+                                    storage_->size(), cum, /*isWrite=*/true);
+  }
   runObserveHook(OpKind::Write, offset, data.size(), node.id(), index,
                  node.clock().now() - t0);
 }
@@ -408,8 +412,11 @@ std::uint64_t ParallelFile::readAt(rt::Node& node, std::uint64_t offset,
   const CodecThreadStats codecBefore = codecThreadStats();
   const std::uint64_t index = performRead(node, offset, out, &n);
   foldCodecObs(node, codecBefore);
-  fs_->model_.chargeIndependentOp(node, offset, out.size(), storage_->size(),
-                                  cumWritten_.load(), /*isWrite=*/false);
+  if (fs_->model_.enabled()) {
+    fs_->model_.chargeIndependentOp(node, offset, out.size(),
+                                    storage_->size(), cumWritten_.load(),
+                                    /*isWrite=*/false);
+  }
   runObserveHook(OpKind::Read, offset, out.size(), node.id(), index,
                  node.clock().now() - t0);
   return n;

@@ -1,16 +1,24 @@
 // Field projection (IStream::project): a projected read must deliver
 // exactly the bytes a full read delivers for the projected fields — across
 // interleave layouts and distributions, through the prefetch path, in
-// salvage mode, and under an attached observer.
+// salvage mode, and under an attached observer — and must fetch them in
+// windows of neighbouring elements rather than one read per element.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstring>
+#include <map>
 #include <vector>
 
 #include "src/dstream/dstream.h"
 #include "src/dstream/inspect.h"
 #include "tests/common/test_helpers.h"
+
+/// A 256 KiB fixed-size field: elements far larger than the read gap bound.
+struct Slab {
+  double words[32768];
+};
+PCXX_STREAM_TRIVIAL(Slab);
 
 namespace {
 
@@ -317,6 +325,185 @@ TEST(Projection, VariableSizeFieldRejected) {
       EXPECT_EQ(e.n, static_cast<int>(i % 3));
     });
   });
+}
+
+/// Runs `is.read()` on every node with `rec` recording the pfs ops it
+/// issues (the barriers keep every other op out of the recording).
+void recordRead(rt::Node& node, pfs::Pfs& fs, pfs::OpRecorder& rec,
+                ds::IStream& is) {
+  node.barrier();
+  if (node.id() == 0) {
+    rec.clear();
+    fs.setObserveHook(rec.hook());
+  }
+  node.barrier();
+  is.read();
+  node.barrier();
+  if (node.id() == 0) fs.setObserveHook(nullptr);
+  node.barrier();
+}
+
+struct Frame {
+  double a = 0.0, b = 0.0, c = 0.0, d = 0.0, e = 0.0;
+};
+
+TEST(Projection, ReadOpsScaleWithWindowsNotElements) {
+  // 4096 five-field elements on 4 nodes: each node's chunk is 40 KiB, so
+  // its projected fields arrive in one window. One read per element would
+  // be 1024 reads per node.
+  pfs::Pfs fs = test::memFs();
+  const std::int64_t n = 4096;
+  rt::Machine m(4);
+  pfs::OpRecorder rec;
+  std::atomic<std::int64_t> bad{0};
+  m.run([&](rt::Node& node) {
+    coll::Processors P;
+    coll::Distribution d(n, &P, coll::DistKind::Block);
+    coll::Collection<Frame> cells(&d);
+    cells.forEachLocal([](Frame& f, std::int64_t i) {
+      const double x = static_cast<double>(i);
+      f = Frame{x, x + 0.25, x + 0.5, x + 0.75, -x};
+    });
+    {
+      ds::OStream s(fs, &d, "frames.ds");
+      s << cells.field(&Frame::a) << cells.field(&Frame::b)
+        << cells.field(&Frame::c) << cells.field(&Frame::d)
+        << cells.field(&Frame::e);
+      s.write();
+    }
+    coll::Collection<Frame> got(&d);
+    ds::IStream is(fs, &d, "frames.ds");
+    // 16 projected bytes per 40-byte element: the unprojected gap between
+    // neighbours is larger than what each read wants.
+    is.project({1, 2});
+    recordRead(node, fs, rec, is);
+    is >> got.field(&Frame::b);
+    is >> got.field(&Frame::c);
+    got.forEachLocal([&](Frame& f, std::int64_t g) {
+      if (f.b != cells.at(g).b || f.c != cells.at(g).c) bad.fetch_add(1);
+    });
+  });
+  EXPECT_EQ(bad.load(), 0);
+  std::map<int, std::size_t> reads;
+  for (const auto& op : rec.ops()) {
+    if (op.kind == pfs::OpKind::Read) ++reads[op.nodeId];
+  }
+  ASSERT_EQ(reads.size(), 4u);
+  for (const auto& [nodeId, count] : reads) {
+    // Node 0 reads the header; every node reads its size-table slice and
+    // its one window.
+    EXPECT_LE(count, 3u) << "node " << nodeId;
+  }
+}
+
+struct Big {
+  double tag = 0.0;
+  Slab slab{};
+};
+
+TEST(Projection, LargeElementsSplitAtTheGapBound) {
+  // Each element carries 256 KiB of unprojected bytes after an 8-byte
+  // projected field: the gap to the next element's field exceeds the
+  // window gap bound, so every element is its own 8-byte read and the
+  // fetched bytes are the projected bytes alone.
+  pfs::Pfs fs = test::memFs();
+  const std::int64_t n = 8;
+  rt::Machine m(2);
+  pfs::OpRecorder rec;
+  std::atomic<std::int64_t> bad{0};
+  m.run([&](rt::Node& node) {
+    coll::Processors P;
+    coll::Distribution d(n, &P, coll::DistKind::Block);
+    coll::Collection<Big> cells(&d);
+    cells.forEachLocal([](Big& b, std::int64_t i) {
+      b.tag = 1.5 * static_cast<double>(i);
+      b.slab.words[0] = -1.0;
+    });
+    {
+      ds::OStream s(fs, &d, "big.ds");
+      s << cells.field(&Big::tag) << cells.field(&Big::slab);
+      s.write();
+    }
+    coll::Collection<Big> got(&d);
+    ds::IStream is(fs, &d, "big.ds");
+    is.project({0});
+    recordRead(node, fs, rec, is);
+    is >> got.field(&Big::tag);
+    got.forEachLocal([&](Big& b, std::int64_t g) {
+      if (b.tag != 1.5 * static_cast<double>(g)) bad.fetch_add(1);
+    });
+  });
+  EXPECT_EQ(bad.load(), 0);
+  std::size_t fieldReads = 0;
+  std::uint64_t readBytes = 0;
+  for (const auto& op : rec.ops()) {
+    if (op.kind != pfs::OpKind::Read) continue;
+    readBytes += op.bytes;
+    if (op.bytes == sizeof(double)) ++fieldReads;
+  }
+  EXPECT_EQ(fieldReads, static_cast<std::size_t>(n));
+  // Header and size table aside, nothing but the 8-byte fields was read —
+  // a single window spanning two elements would cost 256 KiB.
+  EXPECT_LT(readBytes, 4096u);
+}
+
+TEST(Projection, VariableSizesAcrossGapAndWindowBoundsMatchFullRead) {
+  // Var elements are 8 + 8n bytes behind a 4-byte projected prefix, so
+  // the gap after an element is its size less 4: n = 8191 leaves a gap
+  // just within the 64 KiB bound and n = 8192 one just past it. Twenty
+  // 64 KiB elements in a row outgrow a 1 MiB window, and n = 131072 makes
+  // an element larger than a window.
+  auto lengthOf = [](std::int64_t i) {
+    const std::int64_t tail[] = {8192, 3, 0, 131072};
+    const std::int64_t k = i % 24;
+    return static_cast<int>(k < 20 ? 8191 : tail[k - 20]);
+  };
+  pfs::Pfs fs = test::memFs();
+  const std::int64_t n = 48;
+  rt::Machine m(2);
+  pfs::OpRecorder rec;
+  std::atomic<std::int64_t> bad{0};
+  m.run([&](rt::Node& node) {
+    coll::Processors P;
+    coll::Distribution d(n, &P, coll::DistKind::Block);
+    {
+      coll::Collection<Var> g(&d);
+      g.forEachLocal([&](Var& e, std::int64_t i) {
+        e.n = lengthOf(i);
+        e.data = e.n > 0 ? new double[static_cast<size_t>(e.n)] : nullptr;
+        for (int k = 0; k < e.n; ++k) e.data[k] = static_cast<double>(k);
+      });
+      ds::OStream s(fs, &d, "straddle.ds");
+      s << g.field(&Var::n);
+      s << g;
+      s.write();
+    }
+    coll::Collection<Var> full(&d);
+    {
+      ds::IStream is(fs, &d, "straddle.ds");
+      is.read();
+      is >> full.field(&Var::n);
+      is >> full;
+    }
+    coll::Collection<Var> proj(&d);
+    ds::IStream is(fs, &d, "straddle.ds");
+    is.project({0});
+    recordRead(node, fs, rec, is);
+    is >> proj.field(&Var::n);
+    proj.forEachLocal([&](Var& e, std::int64_t g) {
+      if (e.n != full.at(g).n || e.n != lengthOf(g)) bad.fetch_add(1);
+    });
+  });
+  EXPECT_EQ(bad.load(), 0);
+  std::size_t reads = 0;
+  for (const auto& op : rec.ops()) {
+    if (op.kind != pfs::OpKind::Read) continue;
+    ++reads;
+    EXPECT_LE(op.bytes, 1024u * 1024u) << "window at " << op.offset;
+  }
+  // Per node: the size table, then windows of elements 0-15 (the window
+  // bound), 16-20 (the gap bound) and 21-23; node 0 also reads the header.
+  EXPECT_EQ(reads, 9u);
 }
 
 }  // namespace
