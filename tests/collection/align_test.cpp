@@ -34,6 +34,11 @@ struct SpecCase {
   std::int64_t offset;
 };
 
+// Name each case by its spec string. Without this gtest prints the raw bytes
+// of the struct, which include the address of `spec`, so the discovered ctest
+// names would change from build to build.
+void PrintTo(const SpecCase& c, std::ostream* os) { *os << c.spec; }
+
 class AlignSpecTest : public ::testing::TestWithParam<SpecCase> {};
 
 TEST_P(AlignSpecTest, ParsesPaperSyntax) {
