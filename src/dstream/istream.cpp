@@ -489,14 +489,16 @@ bool IStream::checkTrailer(const RecordHeader& header, const ByteBuffer& chunk,
                            std::uint64_t recordStart,
                            std::uint64_t recordEnd) {
   if (!header.hasDataCrc()) return true;
-  const auto crcs = node_->allgatherU64(crc32(chunk));
-  const auto lens = node_->allgatherU64(myChunkBytes);
+  // One collective carries each node's (block CRC, block length); every
+  // node folds the same values in node order and reaches the same verdict.
+  Byte mine[12];
+  encodeU32(crc32(chunk), mine);
+  encodeU64(myChunkBytes, mine + 4);
+  const auto blocks = node_->allgatherBytes(mine);
   std::uint32_t dataCrc = 0;
-  for (int i = 0; i < node_->nprocs(); ++i) {
-    dataCrc = crc32Combine(dataCrc,
-                           static_cast<std::uint32_t>(
-                               crcs[static_cast<size_t>(i)]),
-                           lens[static_cast<size_t>(i)]);
+  for (const ByteBuffer& b : blocks) {
+    dataCrc = crc32Combine(dataCrc, decodeU32(b.data()),
+                           decodeU64(b.data() + 4));
   }
   const std::uint64_t trailerAt = file_->sharedOffset();
   ByteBuffer trailer(4);

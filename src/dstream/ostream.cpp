@@ -370,15 +370,15 @@ void OStream::write() {
     headerBytes = header.encode();
 
     // Each node checksums only its own block; the data-section CRC is the
-    // in-order combination.
+    // in-order combination. The block lengths are the extents gathered
+    // above.
     if (opts_.checksumData) {
       const auto crcs = node_->allgatherU64(crc32(data));
-      const auto lens = node_->allgatherU64(localBytes);
       for (int i = 0; i < node_->nprocs(); ++i) {
         dataCrc = crc32Combine(dataCrc,
                                static_cast<std::uint32_t>(
                                    crcs[static_cast<size_t>(i)]),
-                               lens[static_cast<size_t>(i)]);
+                               extents[static_cast<size_t>(i)]);
       }
     }
   }

@@ -17,7 +17,7 @@ namespace pcxx::pfs {
 // ---------------------------------------------------------------------------
 
 void MemStorage::writeAt(std::uint64_t offset, std::span<const Byte> data) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::shared_mutex> lock(mu_);
   const std::uint64_t end = offset + data.size();
   if (end > data_.size()) data_.resize(end);
   std::copy(data.begin(), data.end(),
@@ -25,7 +25,7 @@ void MemStorage::writeAt(std::uint64_t offset, std::span<const Byte> data) {
 }
 
 std::uint64_t MemStorage::readAt(std::uint64_t offset, std::span<Byte> out) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::shared_lock<std::shared_mutex> lock(mu_);
   if (offset >= data_.size()) return 0;
   const std::uint64_t n =
       std::min<std::uint64_t>(out.size(), data_.size() - offset);
@@ -35,12 +35,12 @@ std::uint64_t MemStorage::readAt(std::uint64_t offset, std::span<Byte> out) {
 }
 
 std::uint64_t MemStorage::size() {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::shared_lock<std::shared_mutex> lock(mu_);
   return data_.size();
 }
 
 void MemStorage::truncate(std::uint64_t newSize) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::shared_mutex> lock(mu_);
   data_.resize(newSize);
 }
 

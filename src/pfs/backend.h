@@ -5,7 +5,10 @@
 // timing models, and fault injection on top; backends only store bytes.
 //
 //  * MemStorage   — in-memory; used by tests and by simulation-mode benches
-//                   (data correctness is still fully exercised).
+//                   (data correctness is still fully exercised). Reads and
+//                   size() share a reader-writer lock, so nodes' readAt
+//                   copies run concurrently; writeAt and truncate hold it
+//                   exclusively, so a read never overlaps a write.
 //  * PosixStorage — a real file accessed with pread/pwrite; used by
 //                   real-time benches and by the examples so outputs are
 //                   inspectable on disk.
@@ -14,6 +17,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <shared_mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -50,7 +54,7 @@ class MemStorage final : public StorageBackend {
   void sync() override {}
 
  private:
-  std::mutex mu_;
+  std::shared_mutex mu_;
   ByteBuffer data_;
 };
 

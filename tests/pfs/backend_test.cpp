@@ -1,8 +1,11 @@
 // Unit tests for the storage backends (memory and POSIX).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <memory>
+#include <thread>
+#include <vector>
 
 #include "src/pfs/backend.h"
 #include "src/util/error.h"
@@ -127,6 +130,64 @@ TEST(PosixStorage, PersistsAcrossReopen) {
 
 TEST(PosixStorage, OpenInMissingDirectoryThrows) {
   EXPECT_THROW(PosixStorage("/nonexistent_dir_pcxx/f"), IoError);
+}
+
+// Readers share MemStorage's lock; an appending writer holds it alone. Four
+// readers copy windows of a prefilled prefix while the writer grows the file
+// (reallocating its buffer): every read must be exact and size() must never
+// go backwards. Labelled stress, so the TSan leg runs it.
+TEST(MemStorageConcurrency, PrefixReadsStayExactWhileWriterAppends) {
+  MemStorage storage;
+  constexpr size_t kPrefix = 16 * 1024;
+  constexpr size_t kBlock = 1024;
+  constexpr int kAppends = 512;
+  ByteBuffer prefix(kPrefix);
+  for (size_t i = 0; i < kPrefix; ++i) {
+    prefix[i] = static_cast<Byte>(i * 31 + 7);
+  }
+  storage.writeAt(0, prefix);
+
+  std::atomic<bool> done{false};
+  std::atomic<int> badReads{0};
+  std::atomic<int> shrinks{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&, t] {
+      std::uint64_t lastSize = 0;
+      for (int i = 0; i < 200 || !done.load(); ++i) {
+        // A window that moves with the iteration, so readers overlap each
+        // other and the writer at different offsets.
+        const size_t offset = (static_cast<size_t>(i) * 977 + 4096 * t) %
+                              (kPrefix - kBlock);
+        const size_t len = kBlock + static_cast<size_t>(i % 7) * 512;
+        ByteBuffer out(std::min(len, kPrefix - offset));
+        if (storage.readAt(offset, out) != out.size() ||
+            !std::equal(out.begin(), out.end(), prefix.begin() + offset)) {
+          ++badReads;
+        }
+        const std::uint64_t size = storage.size();
+        if (size < lastSize) ++shrinks;
+        lastSize = size;
+      }
+    });
+  }
+  std::thread writer([&] {
+    ByteBuffer block(kBlock);
+    for (int k = 0; k < kAppends; ++k) {
+      std::fill(block.begin(), block.end(), static_cast<Byte>(k));
+      storage.writeAt(kPrefix + static_cast<std::uint64_t>(k) * kBlock, block);
+    }
+    done = true;
+  });
+  writer.join();
+  for (auto& r : readers) r.join();
+
+  EXPECT_EQ(badReads.load(), 0);
+  EXPECT_EQ(shrinks.load(), 0);
+  EXPECT_EQ(storage.size(), kPrefix + kAppends * kBlock);
+  ByteBuffer last(kBlock);
+  storage.readAt(kPrefix + (kAppends - 1) * kBlock, last);
+  EXPECT_EQ(last, ByteBuffer(kBlock, static_cast<Byte>(kAppends - 1)));
 }
 
 }  // namespace
