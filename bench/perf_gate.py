@@ -42,7 +42,7 @@ BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
 COMPARE = os.path.join(BENCH_DIR, "compare_metrics.py")
 
 # ablation_redist CI-smoke shape (matches ci/run_ci.sh): small but
-# exercises plan vs legacy and the chunked exchange.
+# exercises plan reuse and the chunked exchange.
 ABLATION_REDIST_ARGS = ["--segments", "600", "--particles", "6",
                         "--records", "2", "--repeats", "2"]
 

@@ -18,7 +18,6 @@ pcxx_add_bench(table4_sgi8)
 pcxx_add_bench(figure5_all)
 pcxx_add_bench(ablation_read_vs_unsorted)
 pcxx_add_bench(ablation_header_strategy)
-pcxx_add_bench(ablation_redistribution)
 pcxx_add_bench(ablation_redist)
 pcxx_add_bench(ablation_interleave)
 pcxx_add_bench(ablation_stripe_sweep)

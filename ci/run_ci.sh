@@ -5,7 +5,6 @@
 #   ci/run_ci.sh asan        AddressSanitizer + UBSan (PCXX_SANITIZE=ON)
 #   ci/run_ci.sh tsan        ThreadSanitizer         (PCXX_TSAN=ON)
 #   ci/run_ci.sh obs-off     instrumentation compiled out (PCXX_OBS=OFF)
-#   ci/run_ci.sh aio-off     overlap pipelines compiled out (PCXX_AIO=OFF)
 #   ci/run_ci.sh fault       ASan build, fault-tolerance suite only
 #   ci/run_ci.sh chaos       ASan build, runtime chaos/watchdog suite only
 #   ci/run_ci.sh codec       full suite under PCXX_CODEC=lz + off-switch
@@ -65,8 +64,9 @@ run_config() {
         return 1
       fi
     done
-    # Redistribution-engine smoke: plan vs legacy byte-identity plus a
-    # nonzero plan-cache hit count (the binary exits 1 on either failure).
+    # Redistribution smoke: every plan-engine and node-count read
+    # element-exact plus a nonzero plan-cache hit count (the binary exits 1
+    # on either failure).
     echo "=== [${name}] redist ablation smoke ==="
     "${build_dir}/bench/ablation_redist" \
       --segments 600 --particles 6 --records 2 --repeats 2
@@ -193,7 +193,6 @@ case "${1:-all}" in
   asan)     run_config asan -DPCXX_SANITIZE=ON ;;
   tsan)     run_config tsan -DPCXX_TSAN=ON ;;
   obs-off)  run_config obs-off -DPCXX_OBS=OFF ;;
-  aio-off)  run_config aio-off -DPCXX_AIO=OFF ;;
   fault)    run_fault ;;
   chaos)    run_chaos ;;
   codec)    run_codec ;;
@@ -204,7 +203,6 @@ case "${1:-all}" in
     run_config asan -DPCXX_SANITIZE=ON
     run_config tsan -DPCXX_TSAN=ON
     run_config obs-off -DPCXX_OBS=OFF
-    run_config aio-off -DPCXX_AIO=OFF
     run_fault
     run_chaos
     run_codec
@@ -212,7 +210,7 @@ case "${1:-all}" in
     run_perf
     ;;
   *)
-    echo "usage: $0 [default|asan|tsan|obs-off|aio-off|fault|chaos|codec|coverage|perf|all]" >&2
+    echo "usage: $0 [default|asan|tsan|obs-off|fault|chaos|codec|coverage|perf|all]" >&2
     exit 2
     ;;
 esac

@@ -43,6 +43,24 @@ pfs::BgIoStats subStats(const pfs::BgIoStats& a, const pfs::BgIoStats& b) {
   return d;
 }
 
+/// Fold background-thread accounting into the node's metrics.
+void foldIntoObs(obs::NodeObs* o, const pfs::BgIoStats& d) {
+  PCXX_OBS_COUNT(o, PfsRetries, d.retries);
+  PCXX_OBS_COUNT(o, PfsGiveUps, d.giveUps);
+  PCXX_OBS_SECONDS(o, PfsBackoffSeconds, d.backoffSeconds);
+  PCXX_OBS_COUNT(o, AioBgWriteBytes, d.bytesWritten);
+  PCXX_OBS_COUNT(o, AioBgReadBytes, d.bytesRead);
+  PCXX_OBS_COUNT(o, PfsCodecRawBytes, d.codecRawBytes);
+  PCXX_OBS_COUNT(o, PfsCodecStoredBytes, d.codecStoredBytes);
+  PCXX_OBS_COUNT(o, PfsCodecDedupHits, d.codecDedupHits);
+  PCXX_OBS_COUNT(o, PfsCodecDamagedChunks, d.codecDamagedChunks);
+  PCXX_OBS_SECONDS(o, PfsCodecSeconds, d.codecSeconds);
+#if !PCXX_OBS_ENABLED
+  (void)o;
+  (void)d;
+#endif
+}
+
 constexpr const char* kAioAbortMessage =
     "machine aborted while a node was waiting on its aio pipeline";
 
@@ -276,22 +294,8 @@ bool Writer::failed() const {
 }
 
 void Writer::foldStatsLocked() {
-  const pfs::BgIoStats d = subStats(stats_, folded_);
+  foldIntoObs(node_.obs(), subStats(stats_, folded_));
   folded_ = stats_;
-  obs::NodeObs* o = node_.obs();
-  PCXX_OBS_COUNT(o, PfsRetries, d.retries);
-  PCXX_OBS_COUNT(o, PfsGiveUps, d.giveUps);
-  PCXX_OBS_SECONDS(o, PfsBackoffSeconds, d.backoffSeconds);
-  PCXX_OBS_COUNT(o, AioBgWriteBytes, d.bytesWritten);
-  PCXX_OBS_COUNT(o, PfsCodecRawBytes, d.codecRawBytes);
-  PCXX_OBS_COUNT(o, PfsCodecStoredBytes, d.codecStoredBytes);
-  PCXX_OBS_COUNT(o, PfsCodecDedupHits, d.codecDedupHits);
-  PCXX_OBS_COUNT(o, PfsCodecDamagedChunks, d.codecDamagedChunks);
-  PCXX_OBS_SECONDS(o, PfsCodecSeconds, d.codecSeconds);
-#if !PCXX_OBS_ENABLED
-  (void)o;
-  (void)d;
-#endif
 }
 
 void Writer::flusherLoop() {
@@ -425,11 +429,10 @@ std::optional<PrefetchedRecord> Prefetcher::consume(std::uint64_t offset) {
   return std::nullopt;
 }
 
-pfs::BgIoStats Prefetcher::takeStatsDelta() {
+void Prefetcher::foldStats(obs::NodeObs* o) {
   std::lock_guard<std::mutex> lk(mu_);
-  const pfs::BgIoStats d = subStats(stats_, folded_);
+  foldIntoObs(o, subStats(stats_, folded_));
   folded_ = stats_;
-  return d;
 }
 
 void Prefetcher::fetchLoop() {

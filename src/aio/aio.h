@@ -227,8 +227,9 @@ class Prefetcher {
   /// Stop the chain and discard prefetched records (rewind/skip/salvage).
   void invalidate();
 
-  /// Background accounting accrued since the previous call (node thread).
-  pfs::BgIoStats takeStatsDelta();
+  /// Fold the background accounting accrued since the previous call into
+  /// the node's metrics `o` (node thread).
+  void foldStats(obs::NodeObs* o);
 
  private:
   void fetchLoop();

@@ -2,13 +2,55 @@
 
 #include <algorithm>
 #include <cstring>
-#include <map>
 
 #include "util/crc32.h"
 
 #include "util/log.h"
 
 namespace pcxx::ds {
+
+namespace {
+
+/// The one record-header reader: the encoded header at `offset`, fetched
+/// through `read` (node 0's readAt, or a prefetch thread's
+/// readAtBackground). With `lengthHint` (the index footer's header length
+/// for this record) one read whose framing must agree with the hint; without
+/// one, or when it disagrees, the 8-byte prefix and then the whole header.
+/// Empty when the bytes there frame no header (end of file, bad magic).
+ByteBuffer readHeaderBytes(const dsindex::ReadFn& read, std::uint64_t offset,
+                           std::optional<std::uint64_t> lengthHint = {}) {
+  ByteBuffer bytes;
+  if (lengthHint.has_value()) {
+    bytes.resize(static_cast<size_t>(*lengthHint));
+    if (read(offset, bytes) == *lengthHint && bytes.size() >= 8) {
+      try {
+        if (RecordHeader::encodedLength(std::span<const Byte>(bytes).first(
+                8)) == *lengthHint) {
+          return bytes;
+        }
+      } catch (const FormatError&) {
+      }
+    }
+  }
+  Byte prefix[8];
+  if (read(offset, prefix) != 8) return {};
+  try {
+    bytes.resize(static_cast<size_t>(RecordHeader::encodedLength(prefix)));
+  } catch (const FormatError&) {
+    return {};
+  }
+  if (read(offset, bytes) != bytes.size()) return {};
+  return bytes;
+}
+
+/// One past the last byte of the record at `start` (CRC trailer included).
+std::uint64_t recordEndOf(const RecordHeader& header, std::uint64_t start,
+                          std::uint64_t headerBytes) {
+  return start + headerBytes + header.sizeTableBytes() + header.dataBytes +
+         header.trailerBytes();
+}
+
+}  // namespace
 
 IStream::IStream(pfs::Pfs& fs, const coll::Distribution* d,
                  const coll::Align* a, const std::string& fileName,
@@ -111,21 +153,7 @@ void IStream::probeIndex(bool viaBroadcast) {
   }
 }
 
-const dsindex::IndexEntry* IStream::indexEntryAt(std::uint64_t offset) const {
-  const auto it = std::lower_bound(
-      index_.entries.begin(), index_.entries.end(), offset,
-      [](const dsindex::IndexEntry& e, std::uint64_t off) {
-        return e.offset < off;
-      });
-  if (it == index_.entries.end() || it->offset != offset) return nullptr;
-  return &*it;
-}
-
-IStream::~IStream() {
-  state_ = State::Closed;
-  prefetcher_.reset();  // before file_: the plan holds a file reference
-  file_.reset();
-}
+IStream::~IStream() { close(); }
 
 void IStream::close() {
   state_ = State::Closed;
@@ -137,7 +165,11 @@ void IStream::rewind() {
   if (state_ == State::Closed) {
     throw StateError("rewind on a closed d/stream");
   }
-  file_->seekShared(*node_, kFileHeaderBytes);
+  moveTo(kFileHeaderBytes);
+}
+
+void IStream::moveTo(std::uint64_t offset) {
+  file_->seekShared(*node_, offset);
   record_.reset();
   state_ = State::Ready;
   restartPrefetch();
@@ -161,33 +193,23 @@ void IStream::seekRecord(std::uint32_t k) {
                        std::to_string(index_.entries.size()) + " record(s)");
     }
     PCXX_OBS_COUNT(node_->obs(), DsIndexHits, 1);
-    file_->seekShared(*node_, index_.entries[static_cast<size_t>(k)].offset);
-    record_.reset();
-    state_ = State::Ready;
-    restartPrefetch();
+    moveTo(index_.entries[static_cast<size_t>(k)].offset);
     return;
   }
   // No usable footer: replay the chain from the top with k header-only
-  // skips — same result, O(k) header reads.
+  // skips — same result, O(k) header reads. Like the indexed path this
+  // rejects k >= recordCount: a chain of exactly k records throws too
+  // rather than parking at end-of-chain.
   PCXX_OBS_COUNT(node_->obs(), DsIndexFallbacks, 1);
-  file_->seekShared(*node_, kFileHeaderBytes);
-  record_.reset();
-  state_ = State::Ready;
-  restartPrefetch();
-  for (std::uint32_t i = 0; i < k; ++i) {
+  moveTo(kFileHeaderBytes);
+  for (std::uint32_t i = 0;; ++i) {
     if (atEnd()) {
       throw UsageError("seekRecord(" + std::to_string(k) +
-                       "): the record chain ends after " + std::to_string(i) +
+                       "): the record chain has only " + std::to_string(i) +
                        " record(s)");
     }
+    if (i == k) return;
     skipRecord();
-  }
-  // Mirror the indexed path's k >= recordCount rejection: a chain of
-  // exactly k records must throw too, not silently park at end-of-chain.
-  if (atEnd()) {
-    throw UsageError("seekRecord(" + std::to_string(k) +
-                     "): the record chain has only " + std::to_string(k) +
-                     " record(s)");
   }
 }
 
@@ -247,35 +269,15 @@ RecordHeader IStream::skipRecord() {
   PCXX_OBS_SPAN(node_->obs(), "ds.skip");
   PCXX_OBS_COUNT(node_->obs(), DsSkips, 1);
   const std::uint64_t recordStart = file_->sharedOffset();
-  ByteBuffer headerBytes;
-  if (node_->id() == 0) {
-    Byte prefix[8];
-    if (file_->readAt(*node_, recordStart, prefix) == 8) {
-      try {
-        const std::uint64_t len = RecordHeader::encodedLength(prefix);
-        headerBytes.resize(len);
-        if (file_->readAt(*node_, recordStart, headerBytes) != len) {
-          headerBytes.clear();
-        }
-      } catch (const FormatError&) {
-        headerBytes.clear();
-      }
-    }
-  }
-  node_->broadcastBytes(0, headerBytes);
+  const ByteBuffer headerBytes = broadcastHeader(recordStart, std::nullopt);
   if (headerBytes.empty()) {
     throw FormatError("truncated or invalid record header at offset " +
                       std::to_string(recordStart));
   }
   RecordHeader header = RecordHeader::decode(headerBytes);
-  file_->seekShared(*node_, recordStart + headerBytes.size() +
-                                header.sizeTableBytes() + header.dataBytes +
-                                header.trailerBytes());
   // Skipping discards any partially extracted record (Figure 2 allows
   // read -> read, and skip is a cheaper read).
-  record_.reset();
-  state_ = State::Ready;
-  restartPrefetch();
+  moveTo(recordEndOf(header, recordStart, headerBytes.size()));
   return header;
 }
 
@@ -308,16 +310,38 @@ bool IStream::skipDamage(std::uint64_t from, std::uint64_t to,
   file_->seekShared(*node_, to);
   record_.reset();
   state_ = State::Ready;
+  prefetchLive_ = false;  // readNext re-aims the chain past the damage
   return false;
 }
 
+ByteBuffer IStream::broadcastHeader(std::uint64_t at,
+                                    std::optional<std::uint64_t> lengthHint) {
+  ByteBuffer bytes;
+  if (node_->id() == 0) {
+    bytes = readHeaderBytes(
+        [this](std::uint64_t off, std::span<Byte> out) {
+          return file_->readAt(*node_, off, out);
+        },
+        at, lengthHint);
+  }
+  node_->broadcastBytes(0, bytes);
+  return bytes;
+}
+
 bool IStream::readRecordOnce(bool sorted) {
-  // ---- read-ahead fast path ------------------------------------------------
+  // ---- read-ahead: a hit hands the tail the whole prefetched record -------
+  std::uint64_t rid = 0;
   if (prefetcher_ != nullptr) {
-    const int got = tryPrefetched(sorted);
-    if (got >= 0) return got != 0;
-    // Miss: fall through to the synchronous path, which owns all error and
-    // salvage semantics.
+    if (std::optional<aio::PrefetchedRecord> r = tryPrefetched(rid)) {
+      // The plan decoded these exact bytes, so this cannot throw; every node
+      // holds an identical copy (no broadcast needed).
+      RecordHeader header = RecordHeader::decode(r->headerBytes);
+      PCXX_OBS_COUNT(node_->obs(), DsHeaderDecodes, 1);
+      return readTail(sorted, std::move(header), r->start,
+                      r->headerBytes.size(), r->sizeChunk,
+                      std::move(r->dataChunk), rid);
+    }
+    // Miss: the synchronous path owns all error and salvage semantics.
   }
 
   // ---- record header (node 0 reads, then broadcast) -----------------------
@@ -326,77 +350,42 @@ bool IStream::readRecordOnce(bool sorted) {
   // Record-scoped correlation id: opens a "ds.record" flow chain that the
   // ordered data read and the redistribution exchange extend, so Perfetto
   // links each record to the work that reconstructed it.
-  std::uint64_t rid = 0;
 #if PCXX_OBS_ENABLED
-  obs::NodeObs* fobs = node_->obs();
-  if (fobs != nullptr && fobs->trace != nullptr) {
+  if (obs::NodeObs* o = node_->obs(); o != nullptr && o->trace != nullptr) {
     rid = node_->machine().nextFlowId();
-    fobs->trace->flowStart(node_->id(), "ds.record", fobs->now(), rid);
+    o->trace->flowStart(node_->id(), "ds.record", o->now(), rid);
   }
 #endif
 
-  ByteBuffer headerBytes;
-  if (node_->id() == 0) {
-    // Indexed fast path: the footer already knows this record's header
-    // length, so one read replaces the prefix-then-header pair. Any
-    // disagreement with the bytes falls back to the probing path.
-    bool direct = false;
-    if (indexValid_) {
-      if (const dsindex::IndexEntry* entry = indexEntryAt(recordStart)) {
-        headerBytes.resize(entry->headerBytes);
-        if (file_->readAt(*node_, recordStart, headerBytes) ==
-            entry->headerBytes) {
-          try {
-            direct =
-                headerBytes.size() >= 8 &&
-                RecordHeader::encodedLength(
-                    std::span<const Byte>(headerBytes.data(), 8)) ==
-                    entry->headerBytes;
-          } catch (const FormatError&) {
-            direct = false;
-          }
-        }
-        if (!direct) headerBytes.clear();
-      }
-    }
-    if (!direct) {
-      Byte prefix[8];
-      const std::uint64_t got = file_->readAt(*node_, recordStart, prefix);
-      if (got == 8) {
-        try {
-          const std::uint64_t len = RecordHeader::encodedLength(prefix);
-          headerBytes.resize(len);
-          const std::uint64_t gotAll =
-              file_->readAt(*node_, recordStart, headerBytes);
-          if (gotAll != len) headerBytes.clear();
-        } catch (const FormatError&) {
-          headerBytes.clear();
-        }
-      }
-    }
+  // Indexed fast path: the footer already knows this record's header
+  // length, so one read replaces the prefix-then-header pair.
+  std::optional<std::uint64_t> hint;
+  const auto entry = std::lower_bound(
+      index_.entries.begin(), index_.entries.end(), recordStart,
+      [](const dsindex::IndexEntry& e, std::uint64_t off) {
+        return e.offset < off;
+      });
+  if (indexValid_ && entry != index_.entries.end() &&
+      entry->offset == recordStart) {
+    hint = entry->headerBytes;
   }
-  node_->broadcastBytes(0, headerBytes);
-  if (headerBytes.empty()) {
-    if (opts_.salvage) {
-      // The framing itself is gone; nothing behind this point can be
-      // located without it, so the rest of the record chain is the damage.
-      return skipDamage(recordStart, chainEnd(),
-                        "truncated or invalid record header (torn tail)");
-    }
+  const ByteBuffer headerBytes = broadcastHeader(recordStart, hint);
+  std::optional<RecordHeader> decoded;
+  const char* damage = "truncated or invalid record header (torn tail)";
+  try {
+    // decode() throws identically on every node (the bytes were broadcast).
+    if (!headerBytes.empty()) decoded = RecordHeader::decode(headerBytes);
+  } catch (const FormatError&) {
+    if (!opts_.salvage) throw;
+    damage = "record header checksum mismatch (torn tail)";
+  }
+  if (!decoded.has_value()) {
+    // The framing itself is gone; nothing behind this point can be
+    // located without it, so the rest of the record chain is the damage.
+    if (opts_.salvage) return skipDamage(recordStart, chainEnd(), damage);
     throw FormatError("truncated or invalid record header at offset " +
                       std::to_string(recordStart) +
                       " (no further record in file?)");
-  }
-  std::optional<RecordHeader> decoded;
-  try {
-    decoded = RecordHeader::decode(headerBytes);
-  } catch (const FormatError&) {
-    // decode() throws identically on every node (the bytes were broadcast).
-    if (opts_.salvage) {
-      return skipDamage(recordStart, chainEnd(),
-                        "record header checksum mismatch (torn tail)");
-    }
-    throw;
   }
   RecordHeader header = std::move(*decoded);
   PCXX_OBS_COUNT(node_->obs(), DsHeaderDecodes, 1);
@@ -404,10 +393,8 @@ bool IStream::readRecordOnce(bool sorted) {
   // Salvage pre-check: make sure the whole record extent fits the file
   // BEFORE entering the collective reads, so every node makes the same
   // skip-vs-read decision and no collective sees a short read.
-  const std::uint64_t recordEnd = recordStart + headerBytes.size() +
-                                  header.sizeTableBytes() + header.dataBytes +
-                                  header.trailerBytes();
-  if (opts_.salvage && recordEnd > chainEnd()) {
+  if (opts_.salvage &&
+      recordEndOf(header, recordStart, headerBytes.size()) > chainEnd()) {
     return skipDamage(recordStart, chainEnd(),
                       "record extends past end of file (torn tail)");
   }
@@ -429,12 +416,22 @@ bool IStream::readRecordOnce(bool sorted) {
   file_->seekShared(*node_, recordStart + headerBytes.size());
   ByteBuffer sizeChunk(static_cast<size_t>(localCount_) * 8);
   file_->readOrdered(*node_, sizeChunk);
+  return readTail(sorted, std::move(header), recordStart, headerBytes.size(),
+                  sizeChunk, std::nullopt, rid);
+}
+
+bool IStream::readTail(bool sorted, RecordHeader header,
+                       std::uint64_t recordStart, std::uint64_t headerBytes,
+                       std::span<const Byte> sizeChunk,
+                       std::optional<ByteBuffer> chunk, std::uint64_t flowId) {
+  const std::uint64_t dataAt =
+      recordStart + headerBytes + header.sizeTableBytes();
+  const std::uint64_t recordEnd = recordEndOf(header, recordStart, headerBytes);
   std::vector<std::uint64_t> chunkSizes(static_cast<size_t>(localCount_));
   std::uint64_t myChunkBytes = 0;
-  for (std::int64_t j = 0; j < localCount_; ++j) {
-    chunkSizes[static_cast<size_t>(j)] =
-        decodeU64(sizeChunk.data() + 8 * static_cast<size_t>(j));
-    myChunkBytes += chunkSizes[static_cast<size_t>(j)];
+  for (size_t j = 0; j < chunkSizes.size(); ++j) {
+    chunkSizes[j] = decodeU64(sizeChunk.data() + 8 * j);
+    myChunkBytes += chunkSizes[j];
   }
   if (opts_.salvage) {
     // A corrupted size table would send the data reads to the wrong
@@ -447,45 +444,47 @@ bool IStream::readRecordOnce(bool sorted) {
     }
   }
 
-  // ---- projected data (windowed positional reads) --------------------------
-  if (!projection_.empty()) {
-    ByteBuffer projChunk;
-    if (!projectChunk(header,
-                      recordStart + headerBytes.size() +
-                          header.sizeTableBytes(),
-                      chunkSizes, myChunkBytes, recordStart, recordEnd,
-                      projChunk)) {
+  // ---- data ----------------------------------------------------------------
+  const bool projected = !projection_.empty();
+  if (!chunk.has_value() && projected) {
+    // Windowed positional reads of the projected byte ranges. The full
+    // section is never fetched, so its CRC cannot be verified: one
+    // collective move takes the cursor past data and trailer.
+    chunk.emplace();
+    if (!projectChunk(header, dataAt, chunkSizes, myChunkBytes, recordStart,
+                      recordEnd, *chunk)) {
       return false;  // salvage skipped the record
     }
-    // The record is consumed: advance the shared cursor past data + trailer
-    // in one collective move (the data CRC cannot be verified — the full
-    // section was never fetched).
     file_->seekShared(*node_, recordEnd);
-    PCXX_OBS_COUNT(node_->obs(), DsIndexProjections, 1);
-    return finishRecord(sorted, std::move(header), std::move(projChunk),
-                        std::move(chunkSizes), recordStart, recordEnd, rid);
-  }
-
-  // ---- data (phase 1: conforming contiguous read) --------------------------
-  ByteBuffer chunk(static_cast<size_t>(myChunkBytes));
+  } else {
+    if (!chunk.has_value()) {
+      // Phase 1: the conforming contiguous read.
+      chunk.emplace(static_cast<size_t>(myChunkBytes));
 #if PCXX_OBS_ENABLED
-  if (fobs != nullptr && fobs->trace != nullptr) {
-    fobs->trace->flowStep(node_->id(), "ds.record", fobs->now(), rid);
-  }
+      if (obs::NodeObs* o = node_->obs(); o != nullptr && o->trace != nullptr) {
+        o->trace->flowStep(node_->id(), "ds.record", o->now(), flowId);
+      }
 #endif
-  file_->readOrdered(*node_, chunk);
-
-  // ---- optional data checksum trailer ---------------------------------------
-  if (!checkTrailer(header, chunk, myChunkBytes, recordStart, recordEnd)) {
-    return false;
+      file_->readOrdered(*node_, *chunk);
+    } else {
+      // Prefetched positionally: move the shared cursor (collective) to
+      // where the ordered read would have left it.
+      file_->seekShared(*node_, recordEnd - header.trailerBytes());
+    }
+    if (!checkTrailer(header, *chunk, recordStart, recordEnd)) return false;
+    // The full, verified chunk is in memory: projection is a stride copy.
+    if (projected && !projectChunk(header, std::nullopt, chunkSizes,
+                                   myChunkBytes, recordStart, recordEnd,
+                                   *chunk)) {
+      return false;
+    }
   }
-
-  return finishRecord(sorted, std::move(header), std::move(chunk),
-                      std::move(chunkSizes), recordStart, recordEnd, rid);
+  if (projected) PCXX_OBS_COUNT(node_->obs(), DsIndexProjections, 1);
+  return finishRecord(sorted, std::move(header), std::move(*chunk),
+                      std::move(chunkSizes), recordStart, recordEnd, flowId);
 }
 
 bool IStream::checkTrailer(const RecordHeader& header, const ByteBuffer& chunk,
-                           std::uint64_t myChunkBytes,
                            std::uint64_t recordStart,
                            std::uint64_t recordEnd) {
   if (!header.hasDataCrc()) return true;
@@ -493,7 +492,7 @@ bool IStream::checkTrailer(const RecordHeader& header, const ByteBuffer& chunk,
   // node folds the same values in node order and reaches the same verdict.
   Byte mine[12];
   encodeU32(crc32(chunk), mine);
-  encodeU64(myChunkBytes, mine + 4);
+  encodeU64(chunk.size(), mine + 4);
   const auto blocks = node_->allgatherBytes(mine);
   std::uint32_t dataCrc = 0;
   for (const ByteBuffer& b : blocks) {
@@ -689,7 +688,7 @@ bool IStream::finishRecord(bool sorted, RecordHeader header, ByteBuffer chunk,
       elemOffsets_[j] = off;
       off += elemSizes_[j];
     }
-  } else if (opts_.redistUsePlan) {
+  } else {
     // ---- phase 2: plan-based redistribution (paper §4.1) -------------------
     PCXX_OBS_PHASE(node_->obs(), "ds.redist", DsRedistSeconds);
     try {
@@ -714,12 +713,6 @@ bool IStream::finishRecord(bool sorted, RecordHeader header, ByteBuffer chunk,
       // vote.
       if (opts_.salvage) return skipDamage(recordStart, recordEnd, e.what());
       throw;
-    }
-  } else {
-    PCXX_OBS_PHASE(node_->obs(), "ds.redist", DsRedistSeconds);
-    if (!redistributeLegacy(header, chunk, chunkSizes, recordStart,
-                            recordEnd, flowId)) {
-      return false;
     }
   }
 
@@ -749,144 +742,7 @@ bool IStream::finishRecord(bool sorted, RecordHeader header, ByteBuffer chunk,
   return true;
 }
 
-bool IStream::redistributeLegacy(const RecordHeader& header,
-                                 const ByteBuffer& chunk,
-                                 const std::vector<std::uint64_t>& chunkSizes,
-                                 std::uint64_t recordStart,
-                                 std::uint64_t recordEnd,
-                                 std::uint64_t flowId) {
-#if !PCXX_OBS_ENABLED
-  (void)flowId;
-#endif
-  // ---- phase 2, seed path: sort + send to owner nodes (paper §4.1) --------
-  // Format problems found here are NODE-LOCAL (each node sees only its own
-  // chunk and its own arriving elements), so nothing may throw before the
-  // collectives: errors are captured in `error` and, in salvage mode,
-  // resolved by a vote after the exchange so every node skips together.
-  std::string error;
-  // Global indices of elements in file order, from the WRITER's layout.
-  std::vector<std::int64_t> fileOrderGlobals;
-  fileOrderGlobals.reserve(static_cast<size_t>(header.elementCount()));
-  for (int proc = 0; proc < header.layout.nprocs(); ++proc) {
-    const auto locals = header.layout.localElements(proc);
-    fileOrderGlobals.insert(fileOrderGlobals.end(), locals.begin(),
-                            locals.end());
-  }
-  // My chunk covers file positions [chunkStart, chunkStart + localCount_).
-  std::int64_t chunkStart = 0;
-  for (int r = 0; r < node_->id(); ++r) {
-    chunkStart += layout_.localCount(r);
-  }
-  // Route each element of my chunk to its reading owner.
-  std::vector<ByteBuffer> sendTo(static_cast<size_t>(node_->nprocs()));
-  std::uint64_t off = 0;
-  for (std::int64_t k = 0; k < localCount_; ++k) {
-    const std::int64_t g =
-        fileOrderGlobals[static_cast<size_t>(chunkStart + k)];
-    const std::uint64_t bytes = chunkSizes[static_cast<size_t>(k)];
-    off += bytes;
-    if (g < 0 || g >= layout_.size()) {
-      if (error.empty()) {
-        error = "record header routes global index " + std::to_string(g) +
-                " outside the collection during redistribution";
-      }
-      continue;
-    }
-    const int owner = layout_.ownerOf(g);
-    ByteBuffer& out = sendTo[static_cast<size_t>(owner)];
-    ByteWriter w(out);
-    w.i64(g);
-    w.u64(bytes);
-    w.bytes({chunk.data() + (off - bytes), static_cast<size_t>(bytes)});
-    if (owner != node_->id()) {
-      PCXX_OBS_COUNT(node_->obs(), RedistElementsMoved, 1);
-    }
-  }
-  for (int peer = 0; peer < node_->nprocs(); ++peer) {
-    const auto& buf = sendTo[static_cast<size_t>(peer)];
-    if (peer == node_->id() || buf.empty()) continue;
-    PCXX_OBS_COUNT(node_->obs(), RedistBytesSent, buf.size());
-    PCXX_OBS_COUNT(node_->obs(), RedistMessagesSent, 1);
-    PCXX_OBS_PEER_BYTES(node_->obs(), peer, buf.size());
-  }
-  [[maybe_unused]] const double waitedBefore = node_->clock().waitedSeconds();
-#if PCXX_OBS_ENABLED
-  if (obs::NodeObs* o = node_->obs();
-      flowId != 0 && o != nullptr && o->trace != nullptr) {
-    o->trace->flowStep(node_->id(), "ds.record", o->now(), flowId);
-  }
-#endif
-  const auto received = node_->alltoallv(sendTo);
-  PCXX_OBS_SECONDS(node_->obs(), RedistWaitSeconds,
-                   node_->clock().waitedSeconds() - waitedBefore);
-
-  // Collect my owned elements, then order them by ascending global index
-  // (= local order).
-  std::map<std::int64_t, std::pair<const Byte*, std::uint64_t>> byGlobal;
-  for (const ByteBuffer& buf : received) {
-    ByteReader r(buf);
-    while (r.remaining() > 0) {
-      const std::int64_t g = r.i64();
-      const std::uint64_t bytes = r.u64();
-      const auto span = r.bytes(static_cast<size_t>(bytes));
-      const auto [it, inserted] =
-          byGlobal.emplace(g, std::make_pair(span.data(), bytes));
-      if (!inserted && error.empty()) {
-        // A corrupt header listed the same global index under two writer
-        // positions; the map would silently keep one copy and a later
-        // "missing element" error would point at the wrong index.
-        error = "duplicate delivery for global index " + std::to_string(g) +
-                " during redistribution — the record header's element "
-                "mapping is corrupt";
-      }
-    }
-  }
-  const auto myGlobals = layout_.localElements(node_->id());
-  if (error.empty() &&
-      static_cast<std::int64_t>(byGlobal.size()) != localCount_) {
-    error =
-        "redistribution did not deliver exactly the local element set "
-        "(file layout inconsistent with its header)";
-  }
-  if (error.empty()) {
-    buffer_.clear();
-    elemOffsets_.assign(myGlobals.size(), 0);
-    elemSizes_.assign(myGlobals.size(), 0);
-    std::uint64_t pos = 0;
-    for (size_t j = 0; j < myGlobals.size(); ++j) {
-      const auto it = byGlobal.find(myGlobals[j]);
-      if (it == byGlobal.end()) {
-        error = "redistribution missing element " +
-                std::to_string(myGlobals[j]);
-        break;
-      }
-      elemOffsets_[j] = pos;
-      elemSizes_[j] = it->second.second;
-      buffer_.insert(buffer_.end(), it->second.first,
-                     it->second.first + it->second.second);
-      pos += it->second.second;
-    }
-  }
-  if (opts_.salvage) {
-    // One node's corrupt chunk is invisible to the others; vote so the
-    // whole machine skips the record together.
-    const std::uint64_t bad =
-        node_->allreduceSumU64(error.empty() ? 0 : 1);
-    if (bad != 0) {
-      return skipDamage(recordStart, recordEnd,
-                        error.empty()
-                            ? "a peer node detected inconsistent "
-                              "redistribution routing"
-                            : error);
-    }
-  } else if (!error.empty()) {
-    throw FormatError(error);
-  }
-  return true;
-}
-
 void IStream::setupPrefetch() {
-#if PCXX_AIO_ENABLED
   if (opts_.aioPrefetchDepth <= 0) return;
   // The plan runs on the prefetch thread: thread-safe pfs entry points and
   // pure decoding only, never a Node. Everything it needs is captured by
@@ -902,21 +758,12 @@ void IStream::setupPrefetch() {
   auto plan = [file, nodeId, localCount, chunkStartElems, layoutSize](
                   std::uint64_t offset, aio::PrefetchedRecord& out,
                   pfs::BgIoStats& stats) -> bool {
-    Byte prefix[8];
-    if (file->readAtBackground(nodeId, offset, prefix, stats) != 8) {
-      return false;
-    }
-    std::uint64_t hdrLen = 0;
-    try {
-      hdrLen = RecordHeader::encodedLength(prefix);
-    } catch (const FormatError&) {
-      return false;
-    }
-    out.headerBytes.resize(static_cast<size_t>(hdrLen));
-    if (file->readAtBackground(nodeId, offset, out.headerBytes, stats) !=
-        hdrLen) {
-      return false;
-    }
+    out.headerBytes = readHeaderBytes(
+        [&](std::uint64_t off, std::span<Byte> buf) {
+          return file->readAtBackground(nodeId, off, buf, stats);
+        },
+        offset);
+    if (out.headerBytes.empty()) return false;
     std::optional<RecordHeader> hdr;
     try {
       hdr = RecordHeader::decode(out.headerBytes);
@@ -924,10 +771,10 @@ void IStream::setupPrefetch() {
       return false;
     }
     if (hdr->elementCount() != layoutSize) return false;
+    const std::uint64_t hdrLen = out.headerBytes.size();
     const std::uint64_t tableAt = offset + hdrLen;
     const std::uint64_t tableBytes = hdr->sizeTableBytes();
-    const std::uint64_t recordEnd =
-        tableAt + tableBytes + hdr->dataBytes + hdr->trailerBytes();
+    const std::uint64_t recordEnd = recordEndOf(*hdr, offset, hdrLen);
     if (recordEnd > file->size()) return false;
     // A node cannot locate its phase-1 block without every preceding
     // node's chunk size, so the plan fetches the whole size table (there
@@ -973,7 +820,6 @@ void IStream::setupPrefetch() {
   prefetcher_ =
       std::make_unique<aio::Prefetcher>(node_->machine(), std::move(plan), po);
   restartPrefetch();
-#endif
 }
 
 void IStream::restartPrefetch() {
@@ -985,44 +831,35 @@ void IStream::restartPrefetch() {
   prefetchConsumedAt_.clear();
 }
 
-int IStream::tryPrefetched(bool sorted) {
+std::optional<aio::PrefetchedRecord> IStream::tryPrefetched(
+    std::uint64_t& flowId) {
   const std::uint64_t recordStart = file_->sharedOffset();
   std::optional<aio::PrefetchedRecord> rec;
   if (prefetchLive_) rec = prefetcher_->consume(recordStart);
   // Background accounting accrues whether or not the record is usable.
-  const pfs::BgIoStats bg = prefetcher_->takeStatsDelta();
-  PCXX_OBS_COUNT(node_->obs(), PfsRetries, bg.retries);
-  PCXX_OBS_COUNT(node_->obs(), PfsGiveUps, bg.giveUps);
-  PCXX_OBS_SECONDS(node_->obs(), PfsBackoffSeconds, bg.backoffSeconds);
-  PCXX_OBS_COUNT(node_->obs(), AioBgReadBytes, bg.bytesRead);
-  PCXX_OBS_COUNT(node_->obs(), PfsCodecRawBytes, bg.codecRawBytes);
-  PCXX_OBS_COUNT(node_->obs(), PfsCodecStoredBytes, bg.codecStoredBytes);
-  PCXX_OBS_COUNT(node_->obs(), PfsCodecDedupHits, bg.codecDedupHits);
-  PCXX_OBS_COUNT(node_->obs(), PfsCodecDamagedChunks, bg.codecDamagedChunks);
-  PCXX_OBS_SECONDS(node_->obs(), PfsCodecSeconds, bg.codecSeconds);
+  prefetcher_->foldStats(node_->obs());
 #if !PCXX_OBS_ENABLED
-  (void)bg;
+  (void)flowId;
 #endif
 
-  // The collective reads below must be entered by every node together, so
-  // the fast path is all-or-nothing: one miss anywhere makes this record
-  // synchronous everywhere.
+  // The collective reads of the record tail must be entered by every node
+  // together, so the fast path is all-or-nothing: one miss anywhere makes
+  // this record synchronous everywhere.
   const std::uint64_t myHit = rec.has_value() ? 1 : 0;
   if (node_->allreduceSumU64(myHit) !=
       static_cast<std::uint64_t>(node_->nprocs())) {
-    prefetchLive_ = false;  // readRecord re-aims the chain after the record
+    prefetchLive_ = false;  // readNext re-aims the chain after the record
     PCXX_OBS_COUNT(node_->obs(), AioPrefetchMisses, 1);
-    return -1;
+    return std::nullopt;
   }
 
-  aio::PrefetchedRecord r = std::move(*rec);
   // Modeled fetch timeline, maintained on the node thread so the simulated
   // overlap is independent of real scheduling: fetch k starts once fetch
   // k-1 finished AND its slot was free (record k-depth consumed); the
   // reader stalls only until this fetch's modeled completion.
   rt::VirtualClock& clock = node_->clock();
   const double fetchSeconds = fs_->model().backgroundOpSeconds(
-      node_->nprocs(), r.readOps, r.bytesRead, file_->size(),
+      node_->nprocs(), rec->readOps, rec->bytesRead, file_->size(),
       /*isWrite=*/false);
   const size_t idx = prefetchConsumedAt_.size();
   const size_t depth = static_cast<size_t>(opts_.aioPrefetchDepth);
@@ -1038,7 +875,6 @@ int IStream::tryPrefetched(bool sorted) {
     clock.stallTo(ready);
   }
   prefetchConsumedAt_.push_back(clock.now());
-  std::uint64_t rid = 0;
 #if PCXX_OBS_ENABLED
   {
     obs::NodeObs* o = node_->obs();
@@ -1046,67 +882,17 @@ int IStream::tryPrefetched(bool sorted) {
       // The record's flow chain starts inside the modeled prefetch span:
       // the background fetch is where the bytes came from, and the step on
       // the node track marks where they were consumed.
-      rid = node_->machine().nextFlowId();
+      flowId = node_->machine().nextFlowId();
       const int track = o->trace->prefetchTrack(o->nodeId);
       o->trace->begin(track, "aio.prefetch", fetchStart);
-      o->trace->flowStart(track, "ds.record", fetchStart, rid);
+      o->trace->flowStart(track, "ds.record", fetchStart, flowId);
       o->trace->end(track, "aio.prefetch", ready);
-      o->trace->flowStep(o->nodeId, "ds.record", o->now(), rid);
+      o->trace->flowStep(o->nodeId, "ds.record", o->now(), flowId);
     }
   }
 #endif
   PCXX_OBS_COUNT(node_->obs(), AioPrefetchHits, 1);
-
-  // The plan decoded these exact bytes, so this cannot throw; every node
-  // holds an identical copy (no broadcast needed).
-  RecordHeader header = RecordHeader::decode(r.headerBytes);
-  PCXX_OBS_COUNT(node_->obs(), DsHeaderDecodes, 1);
-
-  std::vector<std::uint64_t> chunkSizes(static_cast<size_t>(localCount_));
-  std::uint64_t myChunkBytes = 0;
-  for (std::int64_t j = 0; j < localCount_; ++j) {
-    chunkSizes[static_cast<size_t>(j)] =
-        decodeU64(r.sizeChunk.data() + 8 * static_cast<size_t>(j));
-    myChunkBytes += chunkSizes[static_cast<size_t>(j)];
-  }
-  if (opts_.salvage) {
-    // Mirror the synchronous path's collective cross-check (the plan
-    // already validated the table against the header, so this passes on
-    // every node that voted hit).
-    const std::uint64_t tableSum = node_->allreduceSumU64(myChunkBytes);
-    if (tableSum != header.dataBytes) {
-      skipDamage(recordStart, r.next,
-                 "size table inconsistent with record header");
-      restartPrefetch();
-      return 0;
-    }
-  }
-  // The chunks were fetched positionally; advance the shared cursor past
-  // the data section (collective) so the stream sits exactly where the
-  // synchronous path would before its trailer check.
-  file_->seekShared(*node_, r.next - header.trailerBytes());
-  if (!checkTrailer(header, r.dataChunk, myChunkBytes, recordStart, r.next)) {
-    restartPrefetch();
-    return 0;
-  }
-  if (!projection_.empty()) {
-    // The full chunk is already in memory (and CRC-verified above), so the
-    // projection is a stride copy rather than a strided read.
-    if (!projectChunk(header, std::nullopt, chunkSizes, myChunkBytes,
-                      recordStart, r.next, r.dataChunk)) {
-      restartPrefetch();
-      return 0;
-    }
-    PCXX_OBS_COUNT(node_->obs(), DsIndexProjections, 1);
-  }
-  if (!finishRecord(sorted, std::move(header), std::move(r.dataChunk),
-                    std::move(chunkSizes), recordStart, r.next, rid)) {
-    // Salvage skipped a record whose header routes a corrupt element set;
-    // the shared cursor moved past it.
-    restartPrefetch();
-    return 0;
-  }
-  return 1;
+  return rec;
 }
 
 }  // namespace pcxx::ds

@@ -111,10 +111,12 @@ class IStream {
   /// extract sequence then see exactly the projected fields. Every
   /// projected insert — and every insert before it — must have a fixed
   /// per-element size (trailing variable-size inserts may be skipped);
-  /// violations surface as UsageError at the next read. Projected reads
-  /// skip data-CRC verification (the full section is never fetched). An
-  /// empty list clears the projection. Node-local configuration: call it
-  /// identically on every node before the next collective read.
+  /// violations surface as UsageError at the next read. A synchronous
+  /// projected read skips data-CRC verification (the full section is never
+  /// fetched); under read-ahead the full chunk is already in memory, so its
+  /// trailer is verified before the projection. An empty list clears the
+  /// projection. Node-local configuration: call it identically on every
+  /// node before the next collective read.
   void project(std::vector<std::uint32_t> fields);
 
   /// Skip the next record without reading its element data (only the
@@ -213,10 +215,12 @@ class IStream {
   /// (the named-open constructors); otherwise every node reads the tiny
   /// footer itself — the attach constructor must stay collective-free.
   void probeIndex(bool viaBroadcast);
-  const dsindex::IndexEntry* indexEntryAt(std::uint64_t offset) const;
   void setupPrefetch();
   /// (Re)point the read-ahead chain at the shared cursor.
   void restartPrefetch();
+  /// Move the shared cursor to a record boundary (collective), dropping
+  /// any record being extracted and re-aiming read-ahead there.
+  void moveTo(std::uint64_t offset);
   void readNext(bool sorted);
   ProjectionMap projectionFor(const RecordHeader& header) const;
   /// Rewrite this node's chunk of a record to the projected fields (and
@@ -233,34 +237,41 @@ class IStream {
   /// False (salvage mode only): damage was skipped — the shared cursor has
   /// advanced past it and the caller should retry or stop at end of file.
   bool readRecordOnce(bool sorted);
-  /// Consume a prefetched record if every node has it. Returns 1 (record
-  /// ready), 0 (salvage skipped damage), or -1 (miss — take the
-  /// synchronous path). Collective.
-  int tryPrefetched(bool sorted);
+  /// Node 0 reads the record header at `at` (one read when `lengthHint`
+  /// gives its length) and broadcasts it. Empty: no header frames there.
+  /// Collective.
+  ByteBuffer broadcastHeader(std::uint64_t at,
+                             std::optional<std::uint64_t> lengthHint);
+  /// The hit vote and modeled fetch timeline of read-ahead: the prefetched
+  /// record at the shared cursor if every node has it, else nullopt (a miss
+  /// parks the chain; take the synchronous path). A hit opens the record's
+  /// trace flow in `flowId`. Collective.
+  std::optional<aio::PrefetchedRecord> tryPrefetched(std::uint64_t& flowId);
+  /// The tail every record read runs once its header is decoded: size
+  /// decode from this node's `sizeChunk` slice, the salvage table-sum vote,
+  /// the data (windowed projected reads when `chunk` is empty and a
+  /// projection is set, else the ordered read, or the prefetched `chunk`),
+  /// the trailer check whenever the full chunk is in memory, in-memory
+  /// projection, and finishRecord. Collective; false = salvage skipped.
+  bool readTail(bool sorted, RecordHeader header, std::uint64_t recordStart,
+                std::uint64_t headerBytes, std::span<const Byte> sizeChunk,
+                std::optional<ByteBuffer> chunk, std::uint64_t flowId);
   /// Verify the optional CRC trailer and advance past it. True when valid
   /// or absent; false when salvage mode skipped the record.
   bool checkTrailer(const RecordHeader& header, const ByteBuffer& chunk,
-                    std::uint64_t myChunkBytes, std::uint64_t recordStart,
-                    std::uint64_t recordEnd);
-  /// Common tail of a record read: redistribution (or in-place placement),
-  /// bookkeeping, and the transition to Extracting. Returns false when
-  /// salvage mode skipped the record because its header routes an
-  /// inconsistent element set (duplicate or out-of-range global indices).
-  /// `flowId` (0 = untraced) extends the record's trace flow chain through
-  /// the redistribution exchange.
+                    std::uint64_t recordStart, std::uint64_t recordEnd);
+  /// Last step of a record read: redistribution through the cached plan
+  /// (or in-place placement), bookkeeping, and the transition to
+  /// Extracting. Returns false when salvage mode skipped the record
+  /// because its header routes an inconsistent element set (duplicate or
+  /// out-of-range global indices). `flowId` (0 = untraced) extends the
+  /// record's trace flow chain through the redistribution exchange.
   bool finishRecord(bool sorted, RecordHeader header, ByteBuffer chunk,
                     std::vector<std::uint64_t> chunkSizes,
                     std::uint64_t recordStart, std::uint64_t recordEnd,
                     std::uint64_t flowId);
-  /// Seed-era phase 2 (StreamOptions::redistUsePlan = false): per-record
-  /// enumeration of every node's element list and a std::map collection.
-  /// Kept for A/B comparison against the plan engine; byte-identical
-  /// output. Returns false when salvage mode skipped corrupt routing.
-  bool redistributeLegacy(const RecordHeader& header, const ByteBuffer& chunk,
-                          const std::vector<std::uint64_t>& chunkSizes,
-                          std::uint64_t recordStart, std::uint64_t recordEnd,
-                          std::uint64_t flowId);
-  /// Record damage [from, to) in the salvage report and advance past it.
+  /// Record damage [from, to) in the salvage report, advance past it, and
+  /// park the read-ahead chain (readNext re-aims it).
   bool skipDamage(std::uint64_t from, std::uint64_t to, std::string reason);
   void checkExtract(const coll::Layout& collectionLayout, std::uint32_t tag,
                     InsertKind kind) const;

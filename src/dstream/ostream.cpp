@@ -48,14 +48,12 @@ OStream::OStream(pfs::Pfs& fs, pfs::ParallelFilePtr file, coll::Layout layout,
 }
 
 void OStream::setupAsync() {
-#if PCXX_AIO_ENABLED
   if (opts_.aioQueueDepth <= 0) return;
   aio::Writer::Options wo;
   wo.queueDepth = opts_.aioQueueDepth;
   wo.poolBuffers = opts_.aioPoolBuffers;
   wo.drainDeadlineSeconds = opts_.aioDrainDeadlineSeconds;
   writer_ = std::make_unique<aio::Writer>(*node_, file_, wo);
-#endif
 }
 
 void OStream::openFile(const std::string& fileName) {

@@ -49,20 +49,16 @@ struct StreamOptions {
   bool dsindexUseFooter = true;
 
   // -- pcxx::redist (see docs/REDIST.md) -------------------------------------
-  /// Sorted reads under a changed layout: use the cached-plan redistribution
-  /// engine (pcxx::redist). Off = the legacy per-record enumeration + map
-  /// path, kept for A/B comparison; both produce byte-identical buffers.
-  bool redistUsePlan = true;
   /// Bound on the payload bytes sent to any single peer per exchange round
-  /// during redistribution. Caps peak redistribution memory at
+  /// when a sorted read redistributes through the cached plan engine
+  /// (pcxx::redist). Caps peak redistribution memory at
   /// O(nprocs * redistChunkBytes) regardless of record size. 0 = exchange
   /// each record in a single unchunked round.
   std::uint64_t redistChunkBytes = 1 << 20;
 
   // -- pcxx::aio overlap (see docs/ASYNC.md) ---------------------------------
   /// Output streams: write-behind queue depth (buffers in flight per node).
-  /// 0 = fully synchronous (today's path, byte-for-byte). Ignored when the
-  /// library is built with PCXX_AIO=OFF.
+  /// 0 = fully synchronous (today's path, byte-for-byte).
   int aioQueueDepth = 0;
   /// Input streams: records prefetched ahead per node. 0 = synchronous.
   int aioPrefetchDepth = 0;

@@ -51,8 +51,8 @@ std::unique_ptr<IoMethod> makeStreamsIo(bool sorted = false);
 /// pC++/streams with the pcxx::aio overlap pipeline: write-behind flushing
 /// on output (queueDepth buffers in flight per node) and read-ahead
 /// prefetch on input (prefetchDepth records). Produces byte-identical
-/// files; only the modeled overlap differs. Falls back to the synchronous
-/// path when the library is built with PCXX_AIO=OFF or depths are 0.
+/// files; only the modeled overlap differs. Depths of 0 take the
+/// synchronous path.
 std::unique_ptr<IoMethod> makeStreamsAsyncIo(bool sorted = false,
                                              int queueDepth = 4,
                                              int prefetchDepth = 2);

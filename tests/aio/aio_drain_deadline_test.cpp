@@ -22,8 +22,6 @@ namespace {
 
 using namespace pcxx;
 
-#if PCXX_AIO_ENABLED
-
 // A gate the pfs fault hook parks on: while closed, every hooked storage
 // op blocks. Open it before any Writer/OStream is destroyed so the flusher
 // can finish its in-flight job and join.
@@ -203,7 +201,5 @@ TEST(AioDrainDeadline, AbortWakesAPoolWaitInsteadOfItsDeadline) {
   EXPECT_TRUE(sawPeerAbort.load());
   EXPECT_LT(elapsed, 5.0);  // O(1) wake, nowhere near the 30 s deadline
 }
-
-#endif  // PCXX_AIO_ENABLED
 
 }  // namespace

@@ -56,8 +56,6 @@ TEST(AioPipeline, DepthZeroIsTheSynchronousPath) {
   });
 }
 
-#if PCXX_AIO_ENABLED
-
 TEST(AioPipeline, SteadyStateAllocationIsZero) {
   // Writing many records through a depth-2 pipeline must never allocate
   // beyond the fixed staging pool (queueDepth + 2 buffers by default): the
@@ -154,8 +152,6 @@ TEST(AioPipeline, BackgroundFlushFailureSurfacesAsATypedError) {
   }
   EXPECT_TRUE(caught);
 }
-
-#endif  // PCXX_AIO_ENABLED
 
 TEST(AioPipeline, HelperThreadsMayNotEnterCollectives) {
   // aio helper threads (and any other non-node thread) must be rejected by

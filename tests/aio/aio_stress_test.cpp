@@ -112,8 +112,6 @@ TEST(AioStress, DrainAtCloseRaces) {
   });
 }
 
-#if PCXX_AIO_ENABLED
-
 TEST(AioStress, CrashMidBackgroundFlushSurfacesAndUnwinds) {
   // Crash injected into data-region writes only (offsets past the header
   // area): with write-behind on, these run on the flusher thread. The
@@ -202,7 +200,5 @@ TEST(AioStress, TransientFaultsAreRetriedInTheBackground) {
   EXPECT_EQ(bad.load(), 0);
   EXPECT_GT(plan.firedCount(), 0u);
 }
-
-#endif  // PCXX_AIO_ENABLED
 
 }  // namespace

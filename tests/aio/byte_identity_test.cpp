@@ -98,7 +98,7 @@ ByteBuffer writeAndSnapshot(const WriteCfg& cfg) {
     so.headerPolicy =
         static_cast<ds::StreamOptions::HeaderPolicy>(cfg.headerPolicy);
     ds::OStream s(fs, &d, "golden", so);
-    EXPECT_EQ(s.asyncActive(), cfg.queueDepth > 0 && PCXX_AIO_ENABLED != 0);
+    EXPECT_EQ(s.asyncActive(), cfg.queueDepth > 0);
     for (int rec = 0; rec < kRecords; ++rec) {
       fill(data, rec);
       s << data;

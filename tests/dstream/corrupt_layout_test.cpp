@@ -1,14 +1,13 @@
 // Hand-crafted record headers whose layout parameters lie: the pieces
 // (distribution, alignment) decode fine and the header CRC verifies, but
-// the combination routes elements outside the collection. Before the
-// layout-hardening fix these bytes produced UsageError (or worse, aliased
-// global indices silently collapsing in the legacy redistribution map);
-// now they must surface as FormatError at header-decode time on every
-// node, and salvage-mode readers must skip them collectively. The
-// downstream duplicate-delivery checks (redist::buildPlan's partition
-// validation, the legacy path's emplace check) stay as defense in depth:
-// affine alignments that pass these decode checks cannot alias, so the
-// decode boundary is where reachable corruption is stopped.
+// the combination routes elements outside the collection. They must
+// surface as FormatError at header-decode time on every node, and
+// salvage-mode readers must skip them collectively. The downstream
+// duplicate-delivery check (redist::buildPlan's partition validation,
+// raised identically on every node before any collective) stays as
+// defense in depth: affine alignments that pass these decode checks
+// cannot alias, so the decode boundary is where reachable corruption is
+// stopped.
 #include <gtest/gtest.h>
 
 #include <cstdint>

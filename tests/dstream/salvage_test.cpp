@@ -71,10 +71,11 @@ std::vector<std::pair<std::uint64_t, std::uint64_t>> writeRecords(
   return spans;
 }
 
-/// Salvage-read "f.ds": returns which of `records` indices were recovered
-/// with correct contents, plus the stream's report.
-std::pair<std::vector<int>, ds::SalvageReport> salvageRead(pfs::Pfs& fs,
-                                                           int records) {
+/// Salvage-read "f.ds" with `prefetchDepth` records of read-ahead: returns
+/// which of `records` indices were recovered with correct contents, plus
+/// the stream's report.
+std::pair<std::vector<int>, ds::SalvageReport> salvageRead(
+    pfs::Pfs& fs, int records, int prefetchDepth = 0) {
   std::vector<int> recovered;
   ds::SalvageReport report;
   test::runSpmd(kNodes, [&](rt::Node& node) {
@@ -83,6 +84,7 @@ std::pair<std::vector<int>, ds::SalvageReport> salvageRead(pfs::Pfs& fs,
     coll::Collection<double> g(&d);
     ds::StreamOptions so;
     so.salvage = true;
+    so.aioPrefetchDepth = prefetchDepth;
     ds::IStream s(fs, &d, "f.ds", so);
     std::vector<int> mine;
     while (!s.atEnd()) {
@@ -102,14 +104,34 @@ std::pair<std::vector<int>, ds::SalvageReport> salvageRead(pfs::Pfs& fs,
   return {recovered, report};
 }
 
+/// Salvage verdicts must not depend on read-ahead: the same file read with
+/// two records of prefetch recovers the same records and reports the same
+/// damage as the synchronous read.
+void expectSameUnderReadAhead(
+    pfs::Pfs& fs, int records,
+    const std::pair<std::vector<int>, ds::SalvageReport>& sync) {
+  const auto [recovered, report] = salvageRead(fs, records, 2);
+  EXPECT_EQ(recovered, sync.first);
+  EXPECT_EQ(report.recordsRecovered, sync.second.recordsRecovered);
+  EXPECT_EQ(report.recordsLost, sync.second.recordsLost);
+  ASSERT_EQ(report.damage.size(), sync.second.damage.size());
+  for (size_t i = 0; i < report.damage.size(); ++i) {
+    EXPECT_EQ(report.damage[i].offset, sync.second.damage[i].offset);
+    EXPECT_EQ(report.damage[i].bytes, sync.second.damage[i].bytes);
+    EXPECT_EQ(report.damage[i].reason, sync.second.damage[i].reason);
+  }
+}
+
 TEST(Salvage, CleanFileReadsEverythingWithEmptyReport) {
   pfs::Pfs fs = test::memFs();
   writeRecords(fs, 3);
-  auto [recovered, report] = salvageRead(fs, 3);
+  const auto sync = salvageRead(fs, 3);
+  const auto& [recovered, report] = sync;
   EXPECT_EQ(recovered, (std::vector<int>{0, 1, 2}));
   EXPECT_TRUE(report.clean());
   EXPECT_EQ(report.recordsRecovered, 3u);
   EXPECT_EQ(report.recordsLost, 0u);
+  expectSameUnderReadAhead(fs, 3, sync);
 }
 
 TEST(Salvage, NonSalvageReadsClaimNoRecoveries) {
@@ -153,7 +175,8 @@ TEST(Salvage, CorruptMiddleRecordIsSkippedAndReported) {
   fs.corruptByte("f.ds", hit, Byte{0xFF});
   fs.corruptByte("f.ds", hit + 1, Byte{0xFF});
 
-  auto [recovered, report] = salvageRead(fs, 3);
+  const auto sync = salvageRead(fs, 3);
+  const auto& [recovered, report] = sync;
   // Records 0 and 2 come back byte-identical; 1 is skipped.
   EXPECT_EQ(recovered, (std::vector<int>{0, 2}));
   EXPECT_EQ(report.recordsRecovered, 2u);
@@ -162,6 +185,7 @@ TEST(Salvage, CorruptMiddleRecordIsSkippedAndReported) {
   EXPECT_EQ(report.damage[0].offset, spans[1].first);
   EXPECT_EQ(report.damage[0].offset + report.damage[0].bytes,
             spans[1].second);
+  expectSameUnderReadAhead(fs, 3, sync);
 }
 
 TEST(Salvage, TornTailIsConsumedAndReported) {
@@ -172,12 +196,14 @@ TEST(Salvage, TornTailIsConsumedAndReported) {
   const std::uint64_t tearAt = spans[2].first + 10;
   fs.truncateFile("f.ds", tearAt);
 
-  auto [recovered, report] = salvageRead(fs, 3);
+  const auto sync = salvageRead(fs, 3);
+  const auto& [recovered, report] = sync;
   EXPECT_EQ(recovered, (std::vector<int>{0, 1}));
   EXPECT_EQ(report.recordsRecovered, 2u);
   EXPECT_EQ(report.recordsLost, 1u);
   ASSERT_EQ(report.damage.size(), 1u);
   EXPECT_EQ(report.damage[0].offset, spans[2].first);
+  expectSameUnderReadAhead(fs, 3, sync);
 }
 
 TEST(Salvage, WithoutSalvageTheSameDamageThrows) {

@@ -133,8 +133,6 @@ TEST(CrashSweep, TornMidOpCrashesAlsoRecover) {
   }
 }
 
-#if PCXX_AIO_ENABLED
-
 /// The overlap configuration under sweep: epoch data flushed write-behind,
 /// restores prefetching. saveWith drains the stream (explicit close) before
 /// the marker moves, so a crash inside a background flush must still leave
@@ -165,7 +163,5 @@ TEST(CrashSweep, AsyncTornMidOpCrashesAlsoRecover) {
     sweepPoint(k, total, /*halfDurable=*/true, co);
   }
 }
-
-#endif  // PCXX_AIO_ENABLED
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Redistribution edge layouts through the full d/stream read path: empty
 // chunks when P != Q, block <-> cyclic round trips, single-element records,
-// the chunk-size sweep against the legacy (pre-plan) exchange, and plan
+// the chunk-size sweep down to 1-byte exchange rounds, and plan
 // reuse across records and reopen-under-a-different-node-count.
 #include <gtest/gtest.h>
 
@@ -131,10 +131,10 @@ TEST(RedistEdge, SingleElementRecord) {
   EXPECT_EQ(readAndVerify(fs, 2, coll::DistKind::Cyclic, 1, "one"), 0);
 }
 
-TEST(RedistEdge, ChunkSizeSweepMatchesLegacyPath) {
+TEST(RedistEdge, ChunkSizeSweepMatchesTheFill) {
   // The plan engine under every chunk budget — including degenerate 1-byte
-  // rounds that split every element — must reproduce exactly what the
-  // legacy map-based exchange (redistUsePlan = false) produces.
+  // rounds that split every element — must reproduce the written values
+  // exactly.
   pfs::Pfs fs = test::memFs();
   const std::int64_t elements = 41;
   writeFile(fs, 4, coll::DistKind::Cyclic, elements, "sweep");
@@ -148,11 +148,6 @@ TEST(RedistEdge, ChunkSizeSweepMatchesLegacyPath) {
               0)
         << "redistChunkBytes=" << chunkBytes;
   }
-  ds::StreamOptions legacy;
-  legacy.redistUsePlan = false;
-  EXPECT_EQ(
-      readAndVerify(fs, 3, coll::DistKind::Block, elements, "sweep", legacy),
-      0);
 }
 
 TEST(RedistEdge, ReopenUnderDifferentNodeCounts) {
