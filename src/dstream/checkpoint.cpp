@@ -4,8 +4,6 @@
 #include <cerrno>
 #include <cstdlib>
 
-#include "dstream/inspect.h"
-
 #include "runtime/rio.h"
 #include "util/log.h"
 #include "util/strfmt.h"
@@ -106,53 +104,35 @@ std::uint64_t CheckpointManager::saveWith(
     // Explicit close: drains the write-behind queue, so a background flush
     // failure throws here — not from the destructor — and the marker below
     // never moves to a torn epoch.
+    PCXX_OBS_SPAN(node.obs(), "ckpt.close");
     s.close();
   }
   // Only after the epoch file is durable does the marker move; a crash
   // before this line leaves the previous epoch authoritative.
-  writeMarker(node, epoch);
-  prune(node, epoch);
+  {
+    PCXX_OBS_SPAN(node.obs(), "ckpt.writeMarker");
+    writeMarker(node, epoch);
+  }
+  {
+    PCXX_OBS_SPAN(node.obs(), "ckpt.prune");
+    prune(node, epoch);
+  }
   return epoch;
 }
 
 bool CheckpointManager::tryRestore(
-    rt::Node& node, const coll::Layout& layout, std::uint64_t epoch,
+    const coll::Layout& layout, std::uint64_t epoch,
     const std::function<void(IStream&)>& reader) {
   if (!fs_->exists(epochFileName(epoch))) return false;
-  auto f = fs_->open(node, epochFileName(epoch), pfs::OpenMode::Read);
-
-  // Node 0 validates the file STRUCTURE offline first (framing, header
-  // CRCs, size-table consistency) so that a damaged epoch is rejected by a
-  // consistent collective decision rather than by nodes failing at
-  // different points inside collective reads.
-  std::uint64_t ok = 0;
-  if (node.id() == 0) {
-    try {
-      ByteBuffer all(static_cast<size_t>(f->size()));
-      if (f->readAt(node, 0, all) == all.size()) {
-        pfs::MemStorage image;
-        image.writeAt(0, all);
-        const FileInfo info = inspectFile(image);
-        ok = !info.records.empty() &&
-             info.records[0].header.elementCount() == layout.size();
-      }
-    } catch (const Error& e) {
-      PCXX_LOG_WARN("checkpoint epoch %llu failed validation: %s",
-                    static_cast<unsigned long long>(epoch), e.what());
-      ok = 0;
-    }
-  }
-  const std::uint64_t agreed = node.allreduceSumU64(node.id() == 0 ? ok : 0);
-  if (agreed == 0) return false;
-
   try {
-    // Remaining failure modes (data checksum mismatch) throw consistently
-    // on every node, so catching here keeps the machine healthy.
-    f->seekShared(node, kFileHeaderBytes);
+    // The read is the verification: every check it makes (file header,
+    // record framing and CRCs, record extent, size-table sum, data
+    // checksum) reaches the same verdict on every node, so a damaged epoch
+    // throws everywhere and catching here keeps the machine healthy.
     StreamOptions ro;
     ro.aioPrefetchDepth = options_.aioPrefetchDepth;
-    IStream s(*fs_, f, coll::Layout(layout.distribution(), layout.align()),
-              ro);
+    IStream s(*fs_, &layout.distribution(), &layout.align(),
+              epochFileName(epoch), ro);
     s.read();
     reader(s);
     return true;
@@ -211,7 +191,12 @@ std::int64_t CheckpointManager::restoreWith(
 
   std::vector<std::uint64_t> rejected;
   for (const std::uint64_t epoch : candidates) {
-    if (tryRestore(node, layout, epoch, reader)) {
+    bool restored = false;
+    {
+      PCXX_OBS_SPAN(node.obs(), "ckpt.tryEpoch");
+      restored = tryRestore(layout, epoch, reader);
+    }
+    if (restored) {
       // Resume numbering past every epoch we know about, so the next save
       // never collides with a newer-but-corrupt file still on disk.
       nextEpoch_ = candidates.front() + 1;

@@ -12,9 +12,11 @@
 //     is durable, so a crash mid-checkpoint always leaves the previous
 //     epoch recoverable;
 //   * old epochs beyond `keepLast` are pruned after the marker moves;
-//   * restoreLatest() validates the marker's target (falling back to older
-//     epochs if it is missing or corrupt) and restores through read(), so
-//     the node count and distribution may differ from the saving run.
+//   * restoreLatest() restores the marker's target through one read(),
+//     so the node count and distribution may differ from the saving run.
+//     The read itself is the validation: it rejects a damaged epoch with
+//     the same error on every node, and restore falls back to older
+//     epochs when the target is missing or damaged.
 //
 // All methods are collective (every node of the machine calls them).
 #pragma once
@@ -111,8 +113,7 @@ class CheckpointManager {
  private:
   void writeMarker(rt::Node& node, std::uint64_t epoch);
   void prune(rt::Node& node, std::uint64_t latest);
-  bool tryRestore(rt::Node& node, const coll::Layout& layout,
-                  std::uint64_t epoch,
+  bool tryRestore(const coll::Layout& layout, std::uint64_t epoch,
                   const std::function<void(IStream&)>& reader);
   /// Epochs with files on disk, newest first, capped at keepLast + 1 — the
   /// marker-loss fallback candidate list.

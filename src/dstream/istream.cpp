@@ -50,6 +50,12 @@ std::uint64_t recordEndOf(const RecordHeader& header, std::uint64_t start,
          header.trailerBytes();
 }
 
+/// Chunk total a node reports when its slice of the size table is damaged
+/// in a way only it can see (a wrapping sum, an element too small for the
+/// projected fields). It exceeds any dataBytes that passed the extent
+/// check, so the collective size-table vote rejects it on every node.
+constexpr std::uint64_t kDamagedChunk = ~std::uint64_t{0};
+
 }  // namespace
 
 IStream::IStream(pfs::Pfs& fs, const coll::Distribution* d,
@@ -390,13 +396,17 @@ bool IStream::readRecordOnce(bool sorted) {
   RecordHeader header = std::move(*decoded);
   PCXX_OBS_COUNT(node_->obs(), DsHeaderDecodes, 1);
 
-  // Salvage pre-check: make sure the whole record extent fits the file
-  // BEFORE entering the collective reads, so every node makes the same
-  // skip-vs-read decision and no collective sees a short read.
-  if (opts_.salvage &&
-      recordEndOf(header, recordStart, headerBytes.size()) > chainEnd()) {
-    return skipDamage(recordStart, chainEnd(),
-                      "record extends past end of file (torn tail)");
+  // The whole record extent must fit the record chain BEFORE the
+  // collective reads start. The check uses only broadcast header bytes and
+  // the pinned chainEnd(), so every node makes the same skip/throw/read
+  // decision and no collective sees a short read.
+  if (recordEndOf(header, recordStart, headerBytes.size()) > chainEnd()) {
+    if (opts_.salvage) {
+      return skipDamage(recordStart, chainEnd(),
+                        "record extends past end of file (torn tail)");
+    }
+    throw FormatError("record at offset " + std::to_string(recordStart) +
+                      " extends past end of file (truncated?)");
   }
 
   if (header.elementCount() != layout_.size()) {
@@ -414,8 +424,9 @@ bool IStream::readRecordOnce(bool sorted) {
   // the conforming phase-1 read; when the layouts match it already is the
   // final placement.
   file_->seekShared(*node_, recordStart + headerBytes.size());
-  ByteBuffer sizeChunk(static_cast<size_t>(localCount_) * 8);
-  file_->readOrdered(*node_, sizeChunk);
+  const ByteBuffer sizeChunk =
+      file_->readOrdered(*node_, static_cast<std::uint64_t>(localCount_) * 8,
+                         header.sizeTableBytes());
   return readTail(sorted, std::move(header), recordStart, headerBytes.size(),
                   sizeChunk, std::nullopt, rid);
 }
@@ -431,16 +442,8 @@ bool IStream::readTail(bool sorted, RecordHeader header,
   std::uint64_t myChunkBytes = 0;
   for (size_t j = 0; j < chunkSizes.size(); ++j) {
     chunkSizes[j] = decodeU64(sizeChunk.data() + 8 * j);
-    myChunkBytes += chunkSizes[j];
-  }
-  if (opts_.salvage) {
-    // A corrupted size table would send the data reads to the wrong
-    // extents; cross-check its sum against the header before using it.
-    // The allreduce keeps the skip decision collectively consistent.
-    const std::uint64_t tableSum = node_->allreduceSumU64(myChunkBytes);
-    if (tableSum != header.dataBytes) {
-      return skipDamage(recordStart, recordEnd,
-                        "size table inconsistent with record header");
+    if (__builtin_add_overflow(myChunkBytes, chunkSizes[j], &myChunkBytes)) {
+      myChunkBytes = kDamagedChunk;
     }
   }
 
@@ -458,14 +461,21 @@ bool IStream::readTail(bool sorted, RecordHeader header,
     file_->seekShared(*node_, recordEnd);
   } else {
     if (!chunk.has_value()) {
-      // Phase 1: the conforming contiguous read.
-      chunk.emplace(static_cast<size_t>(myChunkBytes));
+      // Phase 1: the conforming contiguous read. A corrupted size table
+      // would send it to the wrong extents; readOrdered votes the table's
+      // sum against the header before any node allocates or reads.
 #if PCXX_OBS_ENABLED
       if (obs::NodeObs* o = node_->obs(); o != nullptr && o->trace != nullptr) {
         o->trace->flowStep(node_->id(), "ds.record", o->now(), flowId);
       }
 #endif
-      file_->readOrdered(*node_, *chunk);
+      try {
+        chunk = file_->readOrdered(*node_, myChunkBytes, header.dataBytes);
+      } catch (const FormatError&) {
+        if (!opts_.salvage) throw;
+        return skipDamage(recordStart, recordEnd,
+                          "size table inconsistent with record header");
+      }
     } else {
       // Prefetched positionally: move the shared cursor (collective) to
       // where the ordered read would have left it.
@@ -578,10 +588,6 @@ namespace {
 constexpr std::uint64_t kProjectionGapBytes = 64 * 1024;
 constexpr std::uint64_t kProjectionWindowBytes = 1024 * 1024;
 
-// Chunk total a node reports in the projection allgather when one of its
-// elements is smaller than the projected cover (a damaged size table).
-constexpr std::uint64_t kShortElement = ~std::uint64_t{0};
-
 }  // namespace
 
 void IStream::ProjectionMap::gather(const Byte* cover,
@@ -608,22 +614,28 @@ bool IStream::projectChunk(RecordHeader& header,
   const ProjectionMap map = projectionFor(header);
 
   // One collective serves both the element placement (element j of my
-  // chunk starts after the preceding nodes' chunks) and the damage vote:
-  // an element without the projected prefix is node-local size-table
-  // damage, and the sentinel keeps the skip/throw decision collective.
+  // chunk starts after the preceding nodes' chunks) and the size-table
+  // vote: the chunk totals must sum to the header's dataBytes. An element
+  // without the projected prefix is node-local damage; kDamagedChunk makes
+  // it fail the vote everywhere.
   std::uint64_t mine = myChunkBytes;
   for (const std::uint64_t sz : chunkSizes) {
-    if (sz < map.coverEnd) mine = kShortElement;
+    if (sz < map.coverEnd) mine = kDamagedChunk;
   }
   const auto lens = node_->allgatherU64(mine);
-  if (std::find(lens.begin(), lens.end(), kShortElement) != lens.end()) {
+  std::uint64_t sum = 0;
+  bool overflow = false;
+  for (const std::uint64_t len : lens) {
+    overflow |= __builtin_add_overflow(sum, len, &sum);
+  }
+  if (overflow || sum != header.dataBytes) {
     if (opts_.salvage) {
       return skipDamage(recordStart, recordEnd,
-                        "element smaller than the projected field region");
+                        "size table inconsistent with record header");
     }
     throw FormatError(
-        "element smaller than the projected field region (size table "
-        "inconsistent with the record's insert shapes)");
+        "size table inconsistent with the record header (element sizes do "
+        "not sum to its data bytes or do not cover the projected fields)");
   }
 
   ByteBuffer out(chunkSizes.size() * static_cast<size_t>(map.bytesPerElement));
@@ -795,7 +807,8 @@ void IStream::setupPrefetch() {
       } else if (j < chunkStartElems + localCount) {
         mine += sz;
       }
-      all += sz;
+      // Partial sums never exceed `all`, so only it can overflow.
+      if (__builtin_add_overflow(all, sz, &all)) return false;
     }
     if (all != hdr->dataBytes) return false;  // damaged size table
     out.dataChunk.resize(static_cast<size_t>(mine));

@@ -506,29 +506,39 @@ OrderedReservation ParallelFile::reserveOrdered(rt::Node& node,
   return r;
 }
 
-std::uint64_t ParallelFile::readOrdered(rt::Node& node,
-                                        std::span<Byte> myBlock) {
+ByteBuffer ParallelFile::readOrdered(rt::Node& node, std::uint64_t myBytes,
+                                     std::uint64_t expectedTotal) {
   PCXX_OBS_PHASE(node.obs(), "pfs.readOrdered", PfsReadSeconds);
-  PCXX_OBS_COUNT(node.obs(), PfsReadOps, 1);
-  PCXX_OBS_COUNT(node.obs(), PfsReadBytes, myBlock.size());
-  PCXX_OBS_COUNT(node.obs(), PfsCollectiveOps, 1);
-  PCXX_OBS_HIST(node.obs(), PfsReadSize, myBlock.size());
   const double t0 = node.clock().now();
   const std::uint64_t base = cursor_.load();
-  const auto sizes = node.allgatherU64(myBlock.size());
+  const auto sizes = node.allgatherU64(myBytes);
   std::uint64_t myOffset = base;
   std::uint64_t total = 0;
   std::uint64_t maxNode = 0;
+  bool overflow = false;
   for (int i = 0; i < node.nprocs(); ++i) {
-    if (i < node.id()) myOffset += sizes[static_cast<size_t>(i)];
-    total += sizes[static_cast<size_t>(i)];
-    maxNode = std::max(maxNode, sizes[static_cast<size_t>(i)]);
+    const std::uint64_t sz = sizes[static_cast<size_t>(i)];
+    if (i < node.id()) myOffset += sz;
+    overflow |= __builtin_add_overflow(total, sz, &total);
+    maxNode = std::max(maxNode, sz);
   }
+  // Every node folds the same gathered sizes, so the verdict is collective.
+  if (overflow || total != expectedTotal) {
+    throw FormatError(strfmt(
+        "readOrdered: file '%s': node blocks do not sum to the expected %llu "
+        "bytes",
+        name_.c_str(), static_cast<unsigned long long>(expectedTotal)));
+  }
+  PCXX_OBS_COUNT(node.obs(), PfsReadOps, 1);
+  PCXX_OBS_COUNT(node.obs(), PfsReadBytes, myBytes);
+  PCXX_OBS_COUNT(node.obs(), PfsCollectiveOps, 1);
+  PCXX_OBS_HIST(node.obs(), PfsReadSize, myBytes);
+  ByteBuffer myBlock(static_cast<size_t>(myBytes));
   std::uint64_t got = 0;
   const CodecThreadStats codecBefore = codecThreadStats();
   const std::uint64_t index = performRead(node, myOffset, myBlock, &got);
   foldCodecObs(node, codecBefore);
-  const bool shortRead = got != myBlock.size();
+  const bool shortRead = got != myBytes;
 
   node.barrier();
   const double duration = fs_->model_.collectiveBulkDuration(
@@ -537,15 +547,15 @@ std::uint64_t ParallelFile::readOrdered(rt::Node& node,
   node.clock().advance(duration);
   cursor_.store(base + total);
   node.barrier();
-  runObserveHook(OpKind::Read, myOffset, myBlock.size(), node.id(), index,
+  runObserveHook(OpKind::Read, myOffset, myBytes, node.id(), index,
                  node.clock().now() - t0);
   if (shortRead) {
     throw IoError("readOrdered: file '" + name_ + "' ended early (wanted " +
-                  std::to_string(myBlock.size()) + " bytes at offset " +
+                  std::to_string(myBytes) + " bytes at offset " +
                   std::to_string(myOffset) + ", got " + std::to_string(got) +
                   ")");
   }
-  return myOffset;
+  return myBlock;
 }
 
 void ParallelFile::seekShared(rt::Node& node, std::uint64_t offset) {

@@ -148,10 +148,16 @@ class ParallelFile {
   /// Returns the file offset where this node's block begins.
   std::uint64_t writeOrdered(rt::Node& node, std::span<const Byte> myBlock);
 
-  /// Every node reads one contiguous block (of the size it passes) from the
-  /// shared cursor in node order; the cursor advances by the total. Throws
-  /// IoError if the file ends early. Returns this node's block offset.
-  std::uint64_t readOrdered(rt::Node& node, std::span<Byte> myBlock);
+  /// Every node reads one contiguous block of `myBytes` from the shared
+  /// cursor in node order and gets it back; the cursor advances by the
+  /// total. The caller states the total it expects (e.g. a record's data
+  /// bytes): the block sizes ride the allgather that places the blocks, and
+  /// if they overflow or do not sum to `expectedTotal`, every node throws
+  /// the same FormatError before any node allocates or reads. A node whose
+  /// block runs past end of file throws IoError; callers that bound the
+  /// region by the file size first never see it.
+  ByteBuffer readOrdered(rt::Node& node, std::uint64_t myBytes,
+                         std::uint64_t expectedTotal);
 
   /// Collective: reserve a node-order region at the shared cursor without
   /// performing any storage I/O. Advances the cursor and the cumulative

@@ -106,11 +106,11 @@ class ManualBufferingIo final : public IoMethod {
     auto f = fs.open(node, file, pfs::OpenMode::Read);
     // The reader computes its share from the known geometry — this is what
     // "storing no element size or distribution information" costs.
-    const std::uint64_t myBytes =
-        static_cast<std::uint64_t>(segments.localCount()) *
-        segmentBytes(particlesPerSegment);
-    ByteBuffer buf(static_cast<size_t>(myBytes));
-    f->readOrdered(node, buf);
+    const std::uint64_t bytesPerSegment = segmentBytes(particlesPerSegment);
+    const ByteBuffer buf = f->readOrdered(
+        node,
+        static_cast<std::uint64_t>(segments.localCount()) * bytesPerSegment,
+        static_cast<std::uint64_t>(segments.size()) * bytesPerSegment);
     std::uint64_t off = 0;
     segments.forEachLocal([&](Segment& seg, std::int64_t) {
       int n = 0;

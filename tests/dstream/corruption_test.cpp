@@ -2,6 +2,8 @@
 // typed FormatError/IoError on every node, never as crashes or hangs.
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 #include "src/dstream/dstream.h"
 #include "tests/common/test_helpers.h"
 
@@ -103,26 +105,77 @@ TEST(Corruption, BadRecordMagicRejected) {
                FormatError);
 }
 
+/// Reads the record of `name` (n ints) on 2 nodes without salvage and
+/// expects the same FormatError from EVERY node: a node that alone throws
+/// (or alone reads on) would leave its peers in a different collective.
+void expectRejectedOnEveryNode(pfs::Pfs& fs, const char* name,
+                               std::int64_t n) {
+  rt::Machine m(2);
+  std::atomic<int> throwers{0};
+  EXPECT_THROW(m.run([&](rt::Node&) {
+    coll::Processors P;
+    coll::Distribution d(n, &P, coll::DistKind::Block);
+    coll::Collection<int> g(&d);
+    try {
+      ds::IStream s(fs, &d, name);
+      s.read();
+      s >> g;
+    } catch (const FormatError&) {
+      throwers.fetch_add(1);
+      throw;
+    }
+  }),
+               FormatError);
+  EXPECT_EQ(throwers.load(), 2);
+}
+
+std::uint64_t fileSize(pfs::Pfs& fs, const char* name) {
+  rt::Machine probe(1);
+  std::uint64_t size = 0;
+  probe.run([&](rt::Node& node) {
+    size = fs.open(node, name, pfs::OpenMode::Read)->size();
+  });
+  return size;
+}
+
+/// Offset of the size table of the single record writeIntFile wrote (no
+/// footer, no data checksum: the data section ends the file).
+std::uint64_t sizeTableAt(pfs::Pfs& fs, const char* name, std::int64_t n) {
+  rt::Machine probe(1);
+  std::uint64_t tailBytes = 0;
+  probe.run([&](rt::Node&) {
+    coll::Processors P;
+    coll::Distribution d(n, &P, coll::DistKind::Block);
+    ds::IStream s(fs, &d, name);
+    const ds::RecordHeader header = s.skipRecord();
+    tailBytes = header.sizeTableBytes() + header.dataBytes;
+  });
+  return fileSize(fs, name) - tailBytes;
+}
+
 TEST(Corruption, TruncatedDataDetected) {
   pfs::Pfs fs = test::memFs();
   writeIntFile(fs, "trunc", 64);
-  rt::Machine probe(1);
-  std::uint64_t fullSize = 0;
-  probe.run([&](rt::Node& node) {
-    auto f = fs.open(node, "trunc", pfs::OpenMode::Read);
-    fullSize = f->size();
-  });
-  fs.truncateFile("trunc", fullSize - 40);  // cut into the data section
-  rt::Machine m(2);
-  EXPECT_THROW(m.run([&](rt::Node&) {
-    coll::Processors P;
-    coll::Distribution d(64, &P, coll::DistKind::Block);
-    coll::Collection<int> g(&d);
-    ds::IStream s(fs, &d, "trunc");
-    s.read();
-    s >> g;
-  }),
-               Error);  // IoError (short readOrdered) on some node
+  fs.truncateFile("trunc", fileSize(fs, "trunc") - 40);  // into the data
+  // The record extent check rejects it before any collective read.
+  expectRejectedOnEveryNode(fs, "trunc", 64);
+}
+
+TEST(Corruption, SizeTableSumMismatchDetected) {
+  pfs::Pfs fs = test::memFs();
+  writeIntFile(fs, "sum", 64);
+  // Element 0's size 4 -> 5: the table no longer sums to dataBytes.
+  fs.corruptByte("sum", sizeTableAt(fs, "sum", 64), 5);
+  expectRejectedOnEveryNode(fs, "sum", 64);
+}
+
+TEST(Corruption, SizeEntryWithHighBytesSetDetected) {
+  pfs::Pfs fs = test::memFs();
+  writeIntFile(fs, "huge", 64);
+  // Element 40 (node 1's slice) gets its most significant byte set: only
+  // node 1 sees an exabyte-sized chunk, and it must not try to allocate it.
+  fs.corruptByte("huge", sizeTableAt(fs, "huge", 64) + 8 * 40 + 7, 0xFF);
+  expectRejectedOnEveryNode(fs, "huge", 64);
 }
 
 TEST(Corruption, TruncatedHeaderDetected) {

@@ -28,8 +28,7 @@ TEST(Fault, HookSeesEveryAccess) {
     ByteBuffer mine(8, 1);
     f->writeOrdered(node, mine);  // one storage write per node
     f->seekShared(node, 0);
-    ByteBuffer back(8);
-    f->readOrdered(node, back);
+    f->readOrdered(node, 8, 16);
   });
   EXPECT_EQ(writes.load(), 2);
   EXPECT_EQ(reads.load(), 2);
@@ -172,8 +171,7 @@ TEST(ObserveHook, RecordsModeledDurationsAfterEachAccess) {
     ByteBuffer mine(4096, 7);
     f->writeOrdered(node, mine);
     f->seekShared(node, 0);
-    ByteBuffer back(4096);
-    f->readOrdered(node, back);
+    f->readOrdered(node, 4096, 8192);
   });
   // One write and one read context per node.
   EXPECT_EQ(rec.count(), 4u);

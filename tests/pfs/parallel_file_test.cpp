@@ -62,9 +62,9 @@ TEST_P(ParallelFileTest, ReadOrderedRoundTrip) {
     }
     {
       auto f = fs.open(node, "rt", OpenMode::Read);
-      ByteBuffer mine(static_cast<size_t>(3 * (node.id() + 1)));
-      const auto off = f->readOrdered(node, mine);
-      (void)off;
+      const ByteBuffer mine = f->readOrdered(
+          node, static_cast<std::uint64_t>(3 * (node.id() + 1)),
+          static_cast<std::uint64_t>(3 * p * (p + 1) / 2));
       for (Byte b : mine) {
         EXPECT_EQ(b, static_cast<Byte>(node.id() + 100));
       }
@@ -102,8 +102,8 @@ TEST_P(ParallelFileTest, ZeroLengthBlocksAllowed) {
     EXPECT_EQ(f->size(), 2u);
 
     f->seekShared(node, 0);
-    ByteBuffer back(node.id() == node.nprocs() - 1 ? 2 : 0);
-    f->readOrdered(node, back);
+    const ByteBuffer back =
+        f->readOrdered(node, node.id() == node.nprocs() - 1 ? 2 : 0, 2);
     if (!back.empty()) {
       EXPECT_EQ(back[0], 7);
     }
@@ -121,10 +121,47 @@ TEST(ParallelFile, ReadOrderedPastEofThrowsEverywhere) {
     ByteBuffer block(2, 1);
     f->writeOrdered(node, block);
     f->seekShared(node, 0);
-    ByteBuffer big(100);  // more than the file holds
-    f->readOrdered(node, big);
+    f->readOrdered(node, 100, 300);  // more than the file holds
   }),
                IoError);
+}
+
+// The block sizes are voted against the caller's expected total before any
+// node allocates or reads: a mismatch, or sizes whose sum wraps to the
+// expected total, throws the same FormatError everywhere and touches no
+// storage.
+TEST(ParallelFile, ReadOrderedRejectsABadTotalOnAllNodes) {
+  constexpr std::uint64_t kHalf = std::uint64_t{1} << 63;
+  for (const bool wraps : {false, true}) {
+    Pfs fs{PfsConfig{}};
+    rt::Machine m(3);
+    m.run([&](rt::Node& node) {
+      auto f = fs.open(node, "voted", OpenMode::Create);
+      f->writeOrdered(node, ByteBuffer(4, 1));
+    });
+    std::atomic<int> reads{0};
+    fs.setFaultHook([&](const OpContext& op) {
+      if (op.kind == OpKind::Read) reads.fetch_add(1);
+    });
+    std::atomic<int> throwers{0};
+    EXPECT_THROW(m.run([&](rt::Node& node) {
+      auto f = fs.open(node, "voted", OpenMode::Read);
+      try {
+        if (wraps) {
+          f->readOrdered(node, node.id() < 2 ? kHalf : 0, 0);
+        } else {
+          f->readOrdered(node, 4, 8);
+        }
+      } catch (const FormatError&) {
+        throwers.fetch_add(1);
+        EXPECT_EQ(f->sharedOffset(), 0u);
+        throw;
+      }
+    }),
+                 FormatError);
+    EXPECT_EQ(throwers.load(), 3) << (wraps ? "wrapping sum" : "wrong sum");
+    EXPECT_EQ(reads.load(), 0);
+  }
 }
 
 TEST(ParallelFile, OpenMissingFileThrowsOnAllNodes) {
@@ -176,8 +213,7 @@ TEST(ParallelFile, FilePersistsAcrossMachines) {
     reader.run([&](rt::Node& node) {
       auto f = fs.open(node, "xmachine", OpenMode::Read);
       EXPECT_EQ(f->size(), 40u);
-      ByteBuffer mine(20);
-      f->readOrdered(node, mine);
+      const ByteBuffer mine = f->readOrdered(node, 20, 40);
       // Node 0 sees writer-node-0 then writer-node-1 blocks, etc.
       EXPECT_EQ(mine[0], static_cast<Byte>(2 * node.id()));
       EXPECT_EQ(mine[19], static_cast<Byte>(2 * node.id() + 1));

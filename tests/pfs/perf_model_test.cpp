@@ -143,8 +143,7 @@ TEST(PerfModel, BulkReadCachedIffFileFits) {
       f->writeOrdered(node, ByteBuffer(5000));
       f->seekShared(node, 0);
       const double t0 = node.clock().now();
-      ByteBuffer back(5000);
-      f->readOrdered(node, back);
+      f->readOrdered(node, 5000, 10000);
       EXPECT_NEAR(node.clock().now() - t0, 1.0 + 10000 / 1e6, 1e-6);
     }
     // Large file (> 20000): disk read.
@@ -153,8 +152,7 @@ TEST(PerfModel, BulkReadCachedIffFileFits) {
       f->writeOrdered(node, ByteBuffer(15000));
       f->seekShared(node, 0);
       const double t0 = node.clock().now();
-      ByteBuffer back(15000);
-      f->readOrdered(node, back);
+      f->readOrdered(node, 15000, 30000);
       EXPECT_NEAR(node.clock().now() - t0, 1.0 + 30000 / 1e5, 1e-6);
     }
   });
