@@ -110,7 +110,8 @@ enum class Timer : int {
   ScfInputSeconds,      ///< harness bracket around IoMethod::input
   AioStallSeconds,      ///< producer blocked on a full write-behind queue
   AioDrainSeconds,      ///< waiting for the flusher at drain points
-  PfsCodecSeconds,      ///< wall seconds in chunk compress/decompress
+  PfsCodecSeconds,      ///< wall seconds of codec CPU: compress,
+                        ///< decompress, content hashing, dedup compares
   kCount
 };
 

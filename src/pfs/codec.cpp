@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <mutex>
+#include <optional>
 
 #include "util/crc32.h"
 #include "util/error.h"
@@ -31,13 +33,33 @@ double nowSeconds() {
       .count();
 }
 
+/// Adds its scope's wall time to the calling thread's codec seconds. The
+/// timed scopes are the leaves of codec CPU work — hash, byte compare,
+/// compress, decompress — and never nest.
+class CodecClock {
+ public:
+  CodecClock() : t0_(nowSeconds()) {}
+  ~CodecClock() { g_codecTls.seconds += nowSeconds() - t0_; }
+  CodecClock(const CodecClock&) = delete;
+  CodecClock& operator=(const CodecClock&) = delete;
+
+ private:
+  double t0_;
+};
+
 std::uint64_t fnv1a64(std::span<const Byte> data) {
+  const CodecClock clock;
   std::uint64_t h = 14695981039346656037ull;
   for (const Byte b : data) {
     h ^= b;
     h *= 1099511628211ull;
   }
   return h;
+}
+
+bool sameBytes(std::span<const Byte> a, std::span<const Byte> b) {
+  const CodecClock clock;
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size()) == 0;
 }
 
 /// Reads exactly out.size() bytes or reports failure (EOF short read).
@@ -241,6 +263,16 @@ struct CodecStorage::Frame {
   }
 };
 
+struct CodecStorage::Prepared {
+  std::uint64_t index = 0;
+  std::span<const Byte> content;  // the caller keeps it alive until apply
+  std::uint64_t hash = 0;
+  /// Base chunk with byte-equal content. A base ref beats a data frame
+  /// whenever the own probe misses, so such a chunk gets no data frame.
+  std::optional<std::uint64_t> baseTarget;
+  ByteBuffer dataFrame;  // header + payload; empty when baseTarget is set
+};
+
 // ---------------------------------------------------------------------------
 // CodecStorage.
 // ---------------------------------------------------------------------------
@@ -400,7 +432,6 @@ CodecStorage::FrameState CodecStorage::readFrame(std::uint64_t index,
 
 ByteBuffer CodecStorage::chunkContent(std::uint64_t index, bool followRef) {
   const std::uint64_t c = spec_.chunkBytes;
-  ByteBuffer zeros(static_cast<std::size_t>(c), 0);
   const auto damaged = [&]() {
     ++g_codecTls.damagedChunks;
     return ByteBuffer(static_cast<std::size_t>(c), 0);
@@ -409,7 +440,7 @@ ByteBuffer CodecStorage::chunkContent(std::uint64_t index, bool followRef) {
   Frame f;
   switch (readFrame(index, f)) {
     case FrameState::Absent:
-      return zeros;  // a hole: zeros, not damage
+      return ByteBuffer(static_cast<std::size_t>(c), 0);  // a hole, not damage
     case FrameState::Damaged:
       return damaged();
     case FrameState::Valid:
@@ -427,14 +458,15 @@ ByteBuffer CodecStorage::chunkContent(std::uint64_t index, bool followRef) {
     const std::uint64_t target = decodeU64(payload.data());
     ByteBuffer content;
     if ((f.flags & kFrameFlagBaseRef) != 0) {
-      bool ok = false;
-      content = baseChunkContent(target, f.contentHash, ok);
-      if (!ok) return damaged();
+      content = baseChunkContent(target);
+      if (content.size() != c) return damaged();
     } else {
       if (!followRef || target == index) return damaged();  // depth-1 only
       content = chunkContent(target, /*followRef=*/false);
-      if (fnv1a64(content) != f.contentHash) return damaged();
     }
+    // Re-verify the recorded content hash: a mutated or damaged target
+    // must surface as detectable damage, never as silently wrong bytes.
+    if (fnv1a64(content) != f.contentHash) return damaged();
     return content;
   }
 
@@ -442,38 +474,25 @@ ByteBuffer CodecStorage::chunkContent(std::uint64_t index, bool followRef) {
   if (f.codecId == static_cast<std::uint8_t>(CodecId::Raw)) {
     content = std::move(payload);
   } else {
-    const double t0 = nowSeconds();
+    const CodecClock clock;
     try {
       content = lzDecompress(payload, f.rawBytes);
     } catch (const FormatError&) {
-      g_codecTls.seconds += nowSeconds() - t0;
       return damaged();
     }
-    g_codecTls.seconds += nowSeconds() - t0;
   }
   if (content.size() != f.rawBytes) return damaged();
   content.resize(static_cast<std::size_t>(c), 0);  // zero-pad past rawBytes
   return content;
 }
 
-ByteBuffer CodecStorage::baseChunkContent(std::uint64_t index,
-                                          std::uint64_t wantHash, bool& ok) {
-  ok = false;
+ByteBuffer CodecStorage::baseChunkContent(std::uint64_t index) {
   if (base_ == nullptr || base_->spec_.chunkBytes != spec_.chunkBytes)
     return {};
-  ByteBuffer content;
-  {
-    // Lock order is strictly file -> base; a base never locks a derived
-    // file, so this nesting cannot deadlock.
-    std::lock_guard<std::mutex> lk(base_->mu_);
-    content = base_->chunkContent(index, /*followRef=*/false);
-  }
-  if (content.size() != spec_.chunkBytes) return {};
-  // Re-verify the recorded content hash: a mutated or damaged base must
-  // surface as detectable damage, never as silently wrong bytes.
-  if (fnv1a64(content) != wantHash) return {};
-  ok = true;
-  return content;
+  // Lock order is strictly file -> base; a base never locks a derived
+  // file, so this nesting cannot deadlock.
+  std::shared_lock lk(base_->mu_);
+  return base_->chunkContent(index, /*followRef=*/false);
 }
 
 void CodecStorage::forgetChunkLocked(std::uint64_t index) {
@@ -503,149 +522,163 @@ void CodecStorage::materializeRefsTo(std::uint64_t target) {
     refs.push_back(it->second);
   for (const std::uint64_t r : refs) {
     // Resolve through the target's still-present content, then re-seal the
-    // ref as an independent data frame before the target changes.
-    ByteBuffer content = chunkContent(r, /*followRef=*/true);
+    // ref as an independent data frame (never a ref) before the target
+    // changes.
+    const ByteBuffer content = chunkContent(r, /*followRef=*/true);
     forgetChunkLocked(r);
-    writeDataFrame(r, content);
+    const std::uint64_t hash = fnv1a64(content);
+    putDataFrame(r, encodeDataFrame(r, content, hash), hash, content.size());
   }
 }
 
-void CodecStorage::writeDataFrame(std::uint64_t index,
-                                  std::span<const Byte> content) {
+ByteBuffer CodecStorage::encodeDataFrame(std::uint64_t index,
+                                         std::span<const Byte> content,
+                                         std::uint64_t hash) const {
   Frame f;
   f.kind = kKindData;
   f.chunkIndex = index;
   f.rawBytes = static_cast<std::uint32_t>(content.size());
-  f.contentHash = fnv1a64(content);
+  f.contentHash = hash;
 
   ByteBuffer packed;
   bool useLz = false;
   if (spec_.codec == CodecId::Lz) {
-    const double t0 = nowSeconds();
+    const CodecClock clock;
     useLz = lzCompress(content, packed);
-    g_codecTls.seconds += nowSeconds() - t0;
   }
   f.codecId = static_cast<std::uint8_t>(useLz ? CodecId::Lz : CodecId::Raw);
+  const std::span<const Byte> payload = useLz ? packed : content;
+  f.storedBytes = static_cast<std::uint32_t>(payload.size());
+  f.payloadCrc = crc32(payload);
 
-  ByteBuffer frame(kFrameHeaderBytes + (useLz ? packed.size() : content.size()));
-  if (useLz) {
-    f.storedBytes = static_cast<std::uint32_t>(packed.size());
-    f.payloadCrc = crc32(packed);
-    std::memcpy(frame.data() + kFrameHeaderBytes, packed.data(),
-                packed.size());
-  } else {
-    f.storedBytes = f.rawBytes;
-    f.payloadCrc = crc32(content);
-    std::memcpy(frame.data() + kFrameHeaderBytes, content.data(),
-                content.size());
-  }
+  // One contiguous frame: header and payload land (or tear) together.
+  ByteBuffer frame(kFrameHeaderBytes + payload.size());
   f.encode(frame.data());
-  // One contiguous write: header and payload land (or tear) together.
-  inner_->writeAt(frameOffset(index), frame);
-  g_codecTls.storedBytes += frame.size();
-
-  if (f.rawBytes == spec_.chunkBytes &&
-      ownHash_.emplace(f.contentHash, index).second)
-    hashByChunk_.emplace(index, f.contentHash);
+  std::memcpy(frame.data() + kFrameHeaderBytes, payload.data(),
+              payload.size());
+  return frame;
 }
 
-void CodecStorage::writeChunk(std::uint64_t index,
-                              std::span<const Byte> content) {
+void CodecStorage::putDataFrame(std::uint64_t index,
+                                std::span<const Byte> frame,
+                                std::uint64_t hash, std::size_t rawBytes) {
+  inner_->writeAt(frameOffset(index), frame);
+  g_codecTls.storedBytes += frame.size();
+  if (rawBytes == spec_.chunkBytes && ownHash_.emplace(hash, index).second)
+    hashByChunk_.emplace(index, hash);
+}
+
+void CodecStorage::putRefFrame(std::uint64_t index, std::uint64_t target,
+                               std::uint64_t hash, bool toBase) {
+  Frame f;
+  f.kind = kKindRef;
+  f.flags = toBase ? kFrameFlagBaseRef : 0;
+  f.chunkIndex = index;
+  f.rawBytes = spec_.chunkBytes;
+  f.storedBytes = 8;
+  f.contentHash = hash;
+  ByteBuffer frame(kFrameHeaderBytes + 8);
+  encodeU64(target, frame.data() + kFrameHeaderBytes);
+  f.payloadCrc =
+      crc32(std::span<const Byte>(frame.data() + kFrameHeaderBytes, 8));
+  f.encode(frame.data());
+  inner_->writeAt(frameOffset(index), frame);
+  g_codecTls.storedBytes += frame.size();
+  ++g_codecTls.dedupHits;
+  if (!toBase) {
+    refsByTarget_.emplace(target, index);
+    refTargetByChunk_.emplace(index, target);
+  }
+}
+
+CodecStorage::Prepared CodecStorage::prepareChunk(
+    std::uint64_t index, std::span<const Byte> content) {
+  Prepared p;
+  p.index = index;
+  p.content = content;
+  p.hash = fnv1a64(content);
+  if (content.size() == spec_.chunkBytes) {
+    if (const auto it = baseHash_.find(p.hash); it != baseHash_.end()) {
+      // Hashes only nominate; bytes decide. Equal bytes have equal hashes,
+      // so the base chunk needs no hash check of its own here.
+      if (sameBytes(baseChunkContent(it->second), content)) {
+        p.baseTarget = it->second;
+        return p;
+      }
+    }
+  }
+  p.dataFrame = encodeDataFrame(index, content, p.hash);
+  return p;
+}
+
+void CodecStorage::applyChunk(const Prepared& p) {
   // Own refs resolving through this chunk must become self-contained
   // before its bytes change; then this chunk's old nominations go away.
-  materializeRefsTo(index);
-  forgetChunkLocked(index);
+  materializeRefsTo(p.index);
+  forgetChunkLocked(p.index);
 
-  if (content.size() == spec_.chunkBytes) {
-    const std::uint64_t hash = fnv1a64(content);
-    std::uint64_t target = 0;
-    bool haveOwn = false;
-    bool haveBase = false;
-    if (const auto it = ownHash_.find(hash);
-        it != ownHash_.end() && it->second != index) {
-      // Hashes only nominate; bytes decide.
-      const ByteBuffer existing = chunkContent(it->second, /*followRef=*/false);
-      if (existing.size() == content.size() &&
-          std::memcmp(existing.data(), content.data(), content.size()) == 0) {
-        target = it->second;
-        haveOwn = true;
+  if (p.content.size() == spec_.chunkBytes) {
+    if (const auto it = ownHash_.find(p.hash);
+        it != ownHash_.end() && it->second != p.index) {
+      const std::uint64_t target = it->second;
+      if (sameBytes(chunkContent(target, /*followRef=*/false), p.content)) {
+        putRefFrame(p.index, target, p.hash, /*toBase=*/false);
+        return;
       }
     }
-    if (!haveOwn) {
-      if (const auto it = baseHash_.find(hash); it != baseHash_.end()) {
-        bool ok = false;
-        const ByteBuffer existing = baseChunkContent(it->second, hash, ok);
-        if (ok && existing.size() == content.size() &&
-            std::memcmp(existing.data(), content.data(), content.size()) ==
-                0) {
-          target = it->second;
-          haveBase = true;
-        }
-      }
-    }
-    if (haveOwn || haveBase) {
-      Frame f;
-      f.kind = kKindRef;
-      f.flags = haveBase ? kFrameFlagBaseRef : 0;
-      f.chunkIndex = index;
-      f.rawBytes = spec_.chunkBytes;
-      f.storedBytes = 8;
-      f.contentHash = hash;
-      ByteBuffer frame(kFrameHeaderBytes + 8);
-      encodeU64(target, frame.data() + kFrameHeaderBytes);
-      f.payloadCrc =
-          crc32(std::span<const Byte>(frame.data() + kFrameHeaderBytes, 8));
-      f.encode(frame.data());
-      inner_->writeAt(frameOffset(index), frame);
-      g_codecTls.storedBytes += frame.size();
-      ++g_codecTls.dedupHits;
-      if (haveOwn) {
-        refsByTarget_.emplace(target, index);
-        refTargetByChunk_.emplace(index, target);
-      }
+    if (p.baseTarget) {
+      putRefFrame(p.index, *p.baseTarget, p.hash, /*toBase=*/true);
       return;
     }
   }
-  writeDataFrame(index, content);
+  putDataFrame(p.index, p.dataFrame, p.hash, p.content.size());
 }
 
 void CodecStorage::writeAt(std::uint64_t offset, std::span<const Byte> data) {
   if (data.empty()) return;
   const std::uint64_t c = spec_.chunkBytes;
-  std::lock_guard<std::mutex> lk(mu_);
   g_codecTls.rawBytes += data.size();
   const std::uint64_t end = offset + data.size();
-  const std::uint64_t newLogical = std::max(logicalSize_, end);
   std::uint64_t pos = offset;
   while (pos < end) {
     const std::uint64_t idx = pos / c;
     const std::uint64_t chunkStart = idx * c;
     const std::uint64_t segEnd = std::min(end, chunkStart + c);
-    const std::size_t segLen = static_cast<std::size_t>(segEnd - pos);
-    const std::size_t inChunk = static_cast<std::size_t>(pos - chunkStart);
-    // rawBytes must cover every logical byte the chunk holds after this
-    // write — including bytes owned by OTHER nodes' earlier writes.
-    const std::uint32_t raw =
-        static_cast<std::uint32_t>(std::min(c, newLogical - chunkStart));
-    if (inChunk == 0 && segLen == raw) {
-      writeChunk(idx, data.subspan(static_cast<std::size_t>(pos - offset),
-                                   segLen));
-    } else {
-      ByteBuffer cur = chunkContent(idx, /*followRef=*/true);
-      std::memcpy(cur.data() + inChunk,
-                  data.data() + static_cast<std::size_t>(pos - offset),
-                  segLen);
-      writeChunk(idx, std::span<const Byte>(cur.data(), raw));
+    const std::span<const Byte> seg = data.subspan(
+        static_cast<std::size_t>(pos - offset),
+        static_cast<std::size_t>(segEnd - pos));
+    // A whole chunk depends only on its new bytes and the immutable base,
+    // so it is prepared before taking mu_; a partial one is read, patched
+    // and prepared under it.
+    const bool whole = pos == chunkStart && seg.size() == c;
+    Prepared p;
+    if (whole) p = prepareChunk(idx, seg);
+    std::unique_lock lk(mu_);
+    ByteBuffer cur;
+    if (!whole) {
+      // rawBytes must cover every logical byte the chunk holds after this
+      // write — including bytes owned by OTHER nodes' earlier writes.
+      const std::uint32_t raw = static_cast<std::uint32_t>(
+          std::min(c, std::max(logicalSize_, end) - chunkStart));
+      std::span<const Byte> content = seg;
+      if (pos != chunkStart || seg.size() != raw) {
+        cur = chunkContent(idx, /*followRef=*/true);
+        std::memcpy(cur.data() + static_cast<std::size_t>(pos - chunkStart),
+                    seg.data(), seg.size());
+        content = std::span<const Byte>(cur.data(), raw);
+      }
+      p = prepareChunk(idx, content);
     }
+    applyChunk(p);
+    logicalSize_ = std::max(logicalSize_, segEnd);
     pos = segEnd;
   }
-  logicalSize_ = newLogical;
 }
 
 std::uint64_t CodecStorage::readAt(std::uint64_t offset, std::span<Byte> out) {
   if (out.empty()) return 0;
   const std::uint64_t c = spec_.chunkBytes;
-  std::lock_guard<std::mutex> lk(mu_);
+  std::shared_lock lk(mu_);
   if (offset >= logicalSize_) return 0;
   const std::uint64_t n = std::min<std::uint64_t>(out.size(),
                                                   logicalSize_ - offset);
@@ -666,13 +699,13 @@ std::uint64_t CodecStorage::readAt(std::uint64_t offset, std::span<Byte> out) {
 }
 
 std::uint64_t CodecStorage::size() {
-  std::lock_guard<std::mutex> lk(mu_);
+  std::shared_lock lk(mu_);
   return logicalSize_;
 }
 
 void CodecStorage::truncate(std::uint64_t newSize) {
   const std::uint64_t c = spec_.chunkBytes;
-  std::lock_guard<std::mutex> lk(mu_);
+  std::unique_lock lk(mu_);
   if (newSize == logicalSize_) return;
   if (newSize > logicalSize_) {
     // Extend with zeros (MemStorage resize-grow semantics): pin the new
@@ -682,7 +715,7 @@ void CodecStorage::truncate(std::uint64_t newSize) {
     ByteBuffer content = chunkContent(tail, /*followRef=*/true);
     const std::uint32_t raw =
         static_cast<std::uint32_t>(std::min(c, newSize - tail * c));
-    writeChunk(tail, std::span<const Byte>(content.data(), raw));
+    applyChunk(prepareChunk(tail, std::span<const Byte>(content.data(), raw)));
     logicalSize_ = newSize;
     return;
   }
@@ -717,7 +750,7 @@ void CodecStorage::truncate(std::uint64_t newSize) {
     const std::uint64_t tail = newCount - 1;
     ByteBuffer content = chunkContent(tail, /*followRef=*/true);
     const std::uint32_t raw = static_cast<std::uint32_t>(newSize - tail * c);
-    writeChunk(tail, std::span<const Byte>(content.data(), raw));
+    applyChunk(prepareChunk(tail, std::span<const Byte>(content.data(), raw)));
   }
 }
 

@@ -13,6 +13,26 @@
 // pcxx::aio flusher/prefetcher threads do the codec work off the node's
 // critical path for free.
 //
+// Locking. `mu_` (a shared_mutex) guards the logical size, the dedup maps
+// and the frames in the inner store. Sealing a chunk has two steps:
+//   prepare — hash the content, compare it with the dedup base, LZ-encode
+//             the data frame. It reads only immutable state (spec, base
+//             view, base hash map), so for a chunk that one writeAt covers
+//             whole it runs WITHOUT mu_: two nodes' flushers encode their
+//             blocks at the same time.
+//   apply   — under mu_ EXCLUSIVE: materialize own refs to the chunk,
+//             forget its old nominations, probe this file's dedup map,
+//             then write an own ref, a base ref or the prepared data frame
+//             and publish the new logical size.
+// A chunk writeAt covers only in part (node-block boundaries, the header,
+// the footer) is read, patched, prepared and applied all under mu_
+// exclusive, as is truncate. writeAt applies chunk by chunk, so readers
+// may see a write's earlier chunks before its later ones; the chunk is
+// already the tear unit (see the caveat below). readAt and size take mu_
+// SHARED, so readers decode at once. A base read takes the base's mu_
+// shared; the lock order is always file -> base, and a base never locks a
+// file derived from it.
+//
 // Physical layout (all integers little-endian):
 //
 //   FileHeader (32 bytes + baseName):
@@ -73,7 +93,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
+#include <shared_mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -109,7 +129,9 @@ struct CodecThreadStats {
   std::uint64_t storedBytes = 0;   ///< frame header+payload bytes stored
   std::uint64_t dedupHits = 0;     ///< chunks written as ref frames
   std::uint64_t damagedChunks = 0; ///< chunk reads that fell back to zeros
-  double seconds = 0.0;            ///< wall seconds in compress/decompress
+  /// Wall seconds of codec CPU: compress, decompress (a dedup target's
+  /// decode included), content hashing and dedup byte compares.
+  double seconds = 0.0;
 };
 
 /// The calling thread's codec counters (monotone; snapshot-and-diff).
@@ -126,7 +148,11 @@ bool lzCompress(std::span<const Byte> src, ByteBuffer& out);
 /// writes out of bounds). Safe on hostile input.
 ByteBuffer lzDecompress(std::span<const Byte> src, std::uint64_t rawBytes);
 
-/// The transparent chunk-codec decorator. All methods are thread-safe.
+/// The transparent chunk-codec decorator. All methods are thread-safe:
+/// writers of disjoint whole chunks encode in parallel and take `mu_`
+/// exclusive only to apply each chunk; readers take it shared. writeAt
+/// applies chunk by chunk (the chunk is the tear unit), so two concurrent
+/// writes of overlapping ranges may interleave chunk by chunk.
 class CodecStorage final : public StorageBackend {
  public:
   static constexpr std::uint64_t kFileHeaderBytes = 32;
@@ -173,23 +199,36 @@ class CodecStorage final : public StorageBackend {
                std::uint64_t headerBytes,
                std::shared_ptr<CodecStorage> base);
 
-  struct Frame;  // decoded frame header (codec.cpp)
+  struct Frame;     // decoded frame header (codec.cpp)
+  struct Prepared;  // a chunk sealed up to its apply step (codec.cpp)
   enum class FrameState { Absent, Valid, Damaged };
 
   void scanExisting();  // rebuild logicalSize_/maps from inner frames
   FrameState readFrame(std::uint64_t index, Frame& f);
   /// Raw content of chunk `index`, always `chunkBytes` long (zero-padded
   /// past rawBytes; all zeros + damage tick on any integrity failure).
-  /// `followRef` bounds ref resolution to depth 1.
+  /// `followRef` bounds ref resolution to depth 1. Needs mu_ (either mode).
   ByteBuffer chunkContent(std::uint64_t index, bool followRef);
-  /// Content of a chunk in the BASE file (data frames only, hash-checked).
-  ByteBuffer baseChunkContent(std::uint64_t index, std::uint64_t wantHash,
-                              bool& ok);
-  /// Seal `content` as chunk `index`: dedup probe, then ref or data frame.
-  void writeChunk(std::uint64_t index, std::span<const Byte> content);
-  /// Seal `content` as a DATA frame (no dedup probe; used by writeChunk
-  /// and by ref materialization, which must not re-emit a ref).
-  void writeDataFrame(std::uint64_t index, std::span<const Byte> content);
+  /// Content of chunk `index` in the BASE file (data frames only), or
+  /// empty without a usable base. Takes the base's mu_ shared; the caller
+  /// checks the content hash or compares the bytes.
+  ByteBuffer baseChunkContent(std::uint64_t index);
+  /// Prepare step: hash, base compare, data frame. Touches no mutable
+  /// state, so it needs no lock; `content` must outlive the apply step.
+  Prepared prepareChunk(std::uint64_t index, std::span<const Byte> content);
+  /// Apply step, under mu_ exclusive: materialize refs, forget old
+  /// nominations, own dedup probe, then an own ref, a base ref or the
+  /// prepared data frame.
+  void applyChunk(const Prepared& p);
+  /// Encode `content` (whose hash is `hash`) as chunk `index`'s data frame.
+  ByteBuffer encodeDataFrame(std::uint64_t index,
+                             std::span<const Byte> content,
+                             std::uint64_t hash) const;
+  /// Write an encoded data frame and nominate a full chunk for dedup.
+  void putDataFrame(std::uint64_t index, std::span<const Byte> frame,
+                    std::uint64_t hash, std::size_t rawBytes);
+  void putRefFrame(std::uint64_t index, std::uint64_t target,
+                   std::uint64_t hash, bool toBase);
   void materializeRefsTo(std::uint64_t target);
   void forgetChunkLocked(std::uint64_t index);  // drop maps for an overwrite
 
@@ -197,11 +236,14 @@ class CodecStorage final : public StorageBackend {
   CodecSpec spec_;
   std::uint64_t headerBytes_ = 0;
   std::shared_ptr<CodecStorage> base_;  // dedup base view (depth 1)
-  std::mutex mu_;
+  /// Guards logicalSize_, the maps below and the inner frames (see the
+  /// locking rules at the top of this file).
+  std::shared_mutex mu_;
   std::uint64_t logicalSize_ = 0;
   /// content hash -> chunk index of a sealed full DATA frame in this file.
   std::unordered_map<std::uint64_t, std::uint64_t> ownHash_;
   /// content hash -> chunk index of a full data frame in the base file.
+  /// Set in the constructor and never changed, so prepare reads it unlocked.
   std::unordered_map<std::uint64_t, std::uint64_t> baseHash_;
   /// chunk index -> hash, for exactly the entries this file put in
   /// ownHash_ (so overwrites erase precisely their own nomination).

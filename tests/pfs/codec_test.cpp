@@ -5,14 +5,19 @@
 // accounting contract.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <thread>
+#include <vector>
 
 #include "src/dstream/dstream.h"
 #include "src/obs/obs.h"
 #include "src/pfs/codec.h"
+#include "src/util/crc32.h"
 #include "tests/common/test_helpers.h"
 
 namespace {
@@ -223,6 +228,210 @@ TEST(CodecStorage, CrossFileDedupVerifiesBaseContentOnRead) {
   EXPECT_GT(pfs::codecThreadStats().damagedChunks, damagedBefore);
 }
 
+// Every physical byte the inner store holds.
+ByteBuffer innerBytes(pfs::StorageBackend& inner) {
+  ByteBuffer out(static_cast<size_t>(inner.size()));
+  EXPECT_EQ(inner.readAt(0, out), out.size());
+  return out;
+}
+
+// The live bytes of a framed store: the file header, then each frame's
+// header and stored payload. The rest of a frame's reserved region keeps
+// whatever an earlier, longer payload of that chunk left there.
+ByteBuffer liveFrameBytes(pfs::CodecStorage& codec) {
+  const ByteBuffer all = innerBytes(codec.inner());
+  ByteBuffer out(all.begin(), all.begin() + static_cast<std::ptrdiff_t>(
+                                                 codec.frameOffset(0)));
+  for (std::uint64_t i = 0; codec.frameOffset(i) < all.size(); ++i) {
+    const size_t at = static_cast<size_t>(codec.frameOffset(i));
+    const size_t header = std::min<size_t>(
+        pfs::CodecStorage::kFrameHeaderBytes, all.size() - at);
+    const size_t stored =
+        header == pfs::CodecStorage::kFrameHeaderBytes
+            ? decodeU32(all.data() + at + 20)
+            : 0;
+    const size_t end = std::min(all.size(), at + header + stored);
+    out.insert(out.end(), all.begin() + static_cast<std::ptrdiff_t>(at),
+               all.begin() + static_cast<std::ptrdiff_t>(end));
+  }
+  return out;
+}
+
+// The framed bytes of one fixed single-writer sequence are part of the
+// format: whole chunks, a partial boundary write, an in-file duplicate, a
+// base duplicate, an overwrite of an own-ref target (materialization) and a
+// growing and a shrinking truncate. Any change to frame choice, frame
+// order or encoding moves the CRC below.
+TEST(CodecStorage, FramedBytesOfAFixedSequenceArePinned) {
+  pfs::CodecSpec spec;
+  spec.enabled = true;
+  spec.chunkBytes = 256;
+  const ByteBuffer baseChunk = patternBytes(256, 31, true);
+  auto baseInner = std::make_shared<pfs::MemStorage>();
+  {
+    auto base = pfs::CodecStorage::create(baseInner, spec, nullptr);
+    base->writeAt(0, patternBytes(256, 30, false));
+    base->writeAt(256, baseChunk);
+  }
+
+  auto inner = std::make_shared<pfs::MemStorage>();
+  pfs::CodecSpec withBase = spec;
+  withBase.dedupBase = "pinned.base";
+  auto codec = pfs::CodecStorage::create(inner, withBase, baseInner);
+  pfs::MemStorage model;
+  const auto write = [&](std::uint64_t off, const ByteBuffer& data) {
+    codec->writeAt(off, data);
+    model.writeAt(off, data);
+  };
+  const std::uint64_t hitsBefore = pfs::codecThreadStats().dedupHits;
+  ByteBuffer whole = patternBytes(3 * 256, 32, true);
+  const ByteBuffer noisy = patternBytes(256, 33, false);
+  whole.insert(whole.end(), noisy.begin(), noisy.end());
+  write(0, whole);  // chunks 0-3, whole
+  write(3 * 256 + 100, patternBytes(300, 34, true));  // straddles 3 | 4
+  const ByteBuffer chunk0(whole.begin(), whole.begin() + 256);
+  write(5 * 256, chunk0);     // in-file duplicate of chunk 0 -> own ref
+  write(6 * 256, baseChunk);  // duplicate of base chunk 1 -> base ref
+  EXPECT_EQ(pfs::codecThreadStats().dedupHits, hitsBefore + 2);
+  write(0, patternBytes(256, 35, false));  // ref target: materialize 5
+  codec->truncate(10 * 256 + 50);
+  model.truncate(10 * 256 + 50);
+  codec->truncate(7 * 256 + 17);
+  model.truncate(7 * 256 + 17);
+
+  ByteBuffer got(static_cast<size_t>(model.size()));
+  ByteBuffer want(got.size());
+  ASSERT_EQ(codec->size(), model.size());
+  ASSERT_EQ(codec->readAt(0, got), got.size());
+  ASSERT_EQ(model.readAt(0, want), want.size());
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(crc32(innerBytes(*inner)), 0x08ea3b58u);
+}
+
+// Concurrent writers of disjoint ranges must leave exactly the frames a
+// serial replay of the same writes leaves, and readers of ranges already
+// written must see them exactly while the other writers run. The file is
+// presized, so every chunk's rawBytes is the same in any order; no content
+// repeats within the file, so no own ref depends on write order; a dedup
+// base holds copies of some whole and some boundary chunks. Labelled
+// stress, so the TSan leg runs it.
+TEST(CodecStorageConcurrency, DisjointWritersMatchASerialReplay) {
+  constexpr std::uint64_t kChunk = 512;
+  constexpr std::uint64_t kTotal = 160 * kChunk + 77;
+  constexpr int kWriters = 4;
+  pfs::CodecSpec spec;
+  spec.enabled = true;
+  spec.chunkBytes = static_cast<std::uint32_t>(kChunk);
+
+  // The final image: runs of random bytes (compressible) in some places,
+  // noise in others, never repeating a chunk.
+  std::uint64_t s = 777;
+  const auto rnd = [&s](std::uint64_t mod) {
+    s = s * 6364136223846793005ULL + 1442695040888963407ULL;
+    return (s >> 33) % mod;
+  };
+  ByteBuffer image(kTotal);
+  for (std::uint64_t i = 0; i < kTotal; ++i) {
+    const bool runs = (i / (3 * kChunk)) % 2 == 0;
+    if (!runs || i % 8 == 0) image[i] = static_cast<Byte>(rnd(256));
+    else image[i] = image[i - 1];
+  }
+
+  // Disjoint segments: chunk-aligned runs of whole chunks, and ragged
+  // blocks whose ends share a chunk with the neighbouring segment.
+  struct Segment {
+    std::uint64_t offset;
+    std::uint64_t length;
+  };
+  std::vector<std::vector<Segment>> plan(kWriters);
+  for (std::uint64_t pos = 0, k = 0; pos < kTotal; ++k) {
+    const std::uint64_t len =
+        pos % kChunk == 0 && rnd(2) == 0 ? (1 + rnd(4)) * kChunk
+                                         : 1 + rnd(3 * kChunk);
+    const std::uint64_t take = std::min(len, kTotal - pos);
+    plan[k % kWriters].push_back({pos, take});
+    pos += take;
+  }
+
+  // The base holds every seventh chunk of the image, shifted by one index.
+  auto baseInner = std::make_shared<pfs::MemStorage>();
+  std::uint64_t baseCopies = 0;
+  std::uint64_t sharedCopies = 0;  // of which two segments write the chunk
+  {
+    auto base = pfs::CodecStorage::create(baseInner, spec, nullptr);
+    for (std::uint64_t i = 0; (i + 1) * kChunk <= kTotal; i += 7) {
+      base->writeAt((i / 7 + 1) * kChunk,
+                    std::span<const Byte>(image.data() + i * kChunk, kChunk));
+      ++baseCopies;
+      bool whole = false;
+      for (const auto& segments : plan)
+        for (const Segment& g : segments)
+          whole |= g.offset <= i * kChunk &&
+                   g.offset + g.length >= (i + 1) * kChunk;
+      if (!whole) ++sharedCopies;
+    }
+  }
+  ASSERT_GT(sharedCopies, 0u);
+  pfs::CodecSpec withBase = spec;
+  withBase.dedupBase = "stress.base";
+  const auto fresh = [&](std::shared_ptr<pfs::MemStorage> inner) {
+    auto codec = pfs::CodecStorage::create(inner, withBase, baseInner);
+    codec->truncate(kTotal);
+    return codec;
+  };
+  const auto segmentBytes = [&](const Segment& g) {
+    return std::span<const Byte>(image.data() + g.offset, g.length);
+  };
+
+  auto inner = std::make_shared<pfs::MemStorage>();
+  auto codec = fresh(inner);
+  std::array<std::atomic<size_t>, kWriters> published{};
+  std::atomic<int> writersLeft{kWriters};
+  std::atomic<int> badReads{0};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      for (const Segment& g : plan[w]) {
+        codec->writeAt(g.offset, segmentBytes(g));
+        published[w].fetch_add(1, std::memory_order_release);
+      }
+      --writersLeft;
+    });
+  }
+  for (int r = 0; r < 2; ++r) {
+    threads.emplace_back([&, r] {
+      std::uint64_t rs = 99 + r;
+      for (int i = 0; i < 64 || writersLeft.load() > 0; ++i) {
+        rs = rs * 6364136223846793005ULL + 1442695040888963407ULL;
+        const int w = static_cast<int>((rs >> 33) % kWriters);
+        const size_t done = published[w].load(std::memory_order_acquire);
+        if (done == 0) continue;
+        const Segment& g = plan[w][(rs >> 40) % done];
+        ByteBuffer out(g.length);
+        const std::span<const Byte> want = segmentBytes(g);
+        if (codec->readAt(g.offset, out) != g.length ||
+            !std::equal(out.begin(), out.end(), want.begin()))
+          ++badReads;
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(badReads.load(), 0);
+
+  auto serialInner = std::make_shared<pfs::MemStorage>();
+  auto serial = fresh(serialInner);
+  const std::uint64_t hitsBefore = pfs::codecThreadStats().dedupHits;
+  for (const auto& segments : plan)
+    for (const Segment& g : segments) serial->writeAt(g.offset, segmentBytes(g));
+  EXPECT_EQ(pfs::codecThreadStats().dedupHits, hitsBefore + baseCopies);
+  ByteBuffer got(kTotal);
+  ASSERT_EQ(codec->readAt(0, got), kTotal);
+  EXPECT_EQ(got, image);
+  // Every frame's header and payload match; only the slack behind a
+  // rewritten boundary chunk's payload depends on which writer came first.
+  EXPECT_TRUE(liveFrameBytes(*codec) == liveFrameBytes(*serial));
+}
+
 // ---------------------------------------------------------------------------
 // Pfs / d-stream integration
 // ---------------------------------------------------------------------------
@@ -368,6 +577,7 @@ TEST_F(CodecFiles, ObsCountersAccountForCodecTraffic) {
     in >> back;
   });
 
+#if PCXX_OBS_ENABLED  // PCXX_OBS=OFF compiles the counters out
   const obs::NodeSnapshot merged = reg.snapshot().merged;
   const std::uint64_t raw =
       merged.counter(obs::Counter::PfsCodecRawBytes);
@@ -377,6 +587,7 @@ TEST_F(CodecFiles, ObsCountersAccountForCodecTraffic) {
   EXPECT_GT(stored, 0u);
   EXPECT_LT(stored, raw);  // repetitive doubles compress
   EXPECT_EQ(merged.counter(obs::Counter::PfsCodecDamagedChunks), 0u);
+#endif
 }
 
 TEST_F(CodecFiles, CheckpointDedupAcrossEpochsStoresRefsAndRestores) {
@@ -421,9 +632,11 @@ TEST_F(CodecFiles, CheckpointDedupAcrossEpochsStoresRefsAndRestores) {
       EXPECT_TRUE(fs.exists("ckpt.1"));
     }
   });
+#if PCXX_OBS_ENABLED  // PCXX_OBS=OFF compiles the counters out
   // Epoch 1 stored references instead of payload for its repeated chunks.
   EXPECT_GT(reg.snapshot().merged.counter(obs::Counter::PfsCodecDedupHits),
             0u);
+#endif
 }
 
 }  // namespace
