@@ -63,6 +63,9 @@ void BM_ByteCodecU64(benchmark::State& state) {
 }
 BENCHMARK(BM_ByteCodecU64);
 
+// The runtime benchmarks report wall time (UseRealTime): the main thread
+// only waits in run() while the node threads work, so its CPU time would
+// hide the wake-up latency of each rendezvous.
 void BM_Barrier(benchmark::State& state) {
   const int nprocs = static_cast<int>(state.range(0));
   rt::Machine machine(nprocs);
@@ -73,7 +76,23 @@ void BM_Barrier(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 100);
 }
-BENCHMARK(BM_Barrier)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(BM_Barrier)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
+
+/// A value collective: one rendezvous per call.
+void BM_AllgatherU64(benchmark::State& state) {
+  const int nprocs = static_cast<int>(state.range(0));
+  rt::Machine machine(nprocs);
+  for (auto _ : state) {
+    machine.run([](rt::Node& node) {
+      for (int i = 0; i < 100; ++i) {
+        benchmark::DoNotOptimize(
+            node.allgatherU64(static_cast<std::uint64_t>(i)));
+      }
+    });
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 100);
+}
+BENCHMARK(BM_AllgatherU64)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
 void BM_Alltoallv(benchmark::State& state) {
   const int nprocs = static_cast<int>(state.range(0));
@@ -88,7 +107,7 @@ void BM_Alltoallv(benchmark::State& state) {
     });
   }
 }
-BENCHMARK(BM_Alltoallv)->Arg(2)->Arg(8);
+BENCHMARK(BM_Alltoallv)->Arg(2)->Arg(8)->UseRealTime();
 
 /// The full d/stream output+input path on the host (memory backend, no
 /// timing model): measures the library's real CPU cost per element.

@@ -39,6 +39,21 @@ int collectiveHops(int nprocs) {
   return std::max(hops, 1);
 }
 
+/// How long a waiter polls for the rendezvous to complete before it parks
+/// on the condition variable. Most of the library's rendezvous complete
+/// well inside this budget, so their waiters never pay for a futex sleep
+/// and wake-up; the yield in each poll keeps oversubscribed hosts moving.
+/// Chosen from a 0 / 5 / 20 / 100 / 500 us sweep (EXPERIMENTS.md): 5 us
+/// is shorter than most waits, and 100 us beat 20 us on frame writes.
+constexpr auto kSpinBudget = std::chrono::microseconds(100);
+
+/// Spin-wait hint: tells the core this is a poll loop (x86 `pause`).
+inline void cpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#endif
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -160,17 +175,24 @@ void Node::barrier() {
   machine_->barrierSync("barrier", nullptr, /*applyCost=*/true);
 }
 
+template <typename T>
+std::span<T> Node::nextValueBank(std::vector<T>& stage) {
+  const size_t n = static_cast<size_t>(nprocs());
+  const std::span<T> bank(stage.data() + (valueBank_ ? n : 0), n);
+  valueBank_ = !valueBank_;
+  return bank;
+}
+
 std::vector<std::uint64_t> Node::allgatherU64(std::uint64_t v) {
   Machine& m = *machine_;
-  m.stageU64_[static_cast<size_t>(id_)] = v;
-  m.barrierSync("allgatherU64", 
+  const std::span<std::uint64_t> bank = nextValueBank(m.stageU64_);
+  bank[static_cast<size_t>(id_)] = v;
+  m.barrierSync("allgatherU64",
       [&m, n = nprocs()] {
         m.pendingCommBytes_ = 8ull * static_cast<std::uint64_t>(n);
       },
       /*applyCost=*/true);
-  std::vector<std::uint64_t> out = m.stageU64_;
-  m.barrierSync("allgatherU64", nullptr, /*applyCost=*/false);
-  return out;
+  return {bank.begin(), bank.end()};
 }
 
 std::vector<ByteBuffer> Node::allgatherBytes(std::span<const Byte> mine) {
@@ -289,40 +311,39 @@ void Node::alltoallvInto(const std::vector<ByteBuffer>& sendTo,
 
 double Node::allreduceMax(double v) {
   Machine& m = *machine_;
-  m.stageF64_[static_cast<size_t>(id_)] = v;
+  const std::span<double> bank = nextValueBank(m.stageF64_);
+  bank[static_cast<size_t>(id_)] = v;
   m.barrierSync("allreduceMax", nullptr, /*applyCost=*/true);
-  const double out = *std::max_element(m.stageF64_.begin(), m.stageF64_.end());
-  m.barrierSync("allreduceMax", nullptr, /*applyCost=*/false);
-  return out;
+  return *std::max_element(bank.begin(), bank.end());
 }
 
 double Node::allreduceSum(double v) {
   Machine& m = *machine_;
-  m.stageF64_[static_cast<size_t>(id_)] = v;
+  const std::span<double> bank = nextValueBank(m.stageF64_);
+  bank[static_cast<size_t>(id_)] = v;
   m.barrierSync("allreduceSum", nullptr, /*applyCost=*/true);
   double sum = 0.0;
-  for (double x : m.stageF64_) sum += x;
-  m.barrierSync("allreduceSum", nullptr, /*applyCost=*/false);
+  for (double x : bank) sum += x;
   return sum;
 }
 
 std::uint64_t Node::allreduceSumU64(std::uint64_t v) {
   Machine& m = *machine_;
-  m.stageU64_[static_cast<size_t>(id_)] = v;
+  const std::span<std::uint64_t> bank = nextValueBank(m.stageU64_);
+  bank[static_cast<size_t>(id_)] = v;
   m.barrierSync("allreduceSumU64", nullptr, /*applyCost=*/true);
   std::uint64_t sum = 0;
-  for (std::uint64_t x : m.stageU64_) sum += x;
-  m.barrierSync("allreduceSumU64", nullptr, /*applyCost=*/false);
+  for (std::uint64_t x : bank) sum += x;
   return sum;
 }
 
 std::uint64_t Node::exclusiveScanU64(std::uint64_t v) {
   Machine& m = *machine_;
-  m.stageU64_[static_cast<size_t>(id_)] = v;
+  const std::span<std::uint64_t> bank = nextValueBank(m.stageU64_);
+  bank[static_cast<size_t>(id_)] = v;
   m.barrierSync("exclusiveScanU64", nullptr, /*applyCost=*/true);
   std::uint64_t prefix = 0;
-  for (int i = 0; i < id_; ++i) prefix += m.stageU64_[static_cast<size_t>(i)];
-  m.barrierSync("exclusiveScanU64", nullptr, /*applyCost=*/false);
+  for (int i = 0; i < id_; ++i) prefix += bank[static_cast<size_t>(i)];
   return prefix;
 }
 
@@ -341,8 +362,8 @@ Machine::Machine(int nprocs, CommModel comm, MachineOptions options)
     nodes_.push_back(std::move(node));
   }
   stageSpans_.resize(static_cast<size_t>(nprocs));
-  stageU64_.resize(static_cast<size_t>(nprocs));
-  stageF64_.resize(static_cast<size_t>(nprocs));
+  stageU64_.resize(2 * static_cast<size_t>(nprocs));
+  stageF64_.resize(2 * static_cast<size_t>(nprocs));
   stageVecs_.resize(static_cast<size_t>(nprocs));
   arrivedGen_.assign(static_cast<size_t>(nprocs), 0);
 }
@@ -353,7 +374,7 @@ void Machine::run(const std::function<void(Node&)>& fn) {
   // Fresh SPMD region: clear abort state, mailboxes, clocks, trace ids.
   {
     std::lock_guard<std::mutex> lock(barrierMu_);
-    aborted_ = false;
+    aborted_.store(false, std::memory_order_release);
     abortInfo_ = AbortInfo{};
     barrierArrived_ = 0;
     collOpCount_ = 0;
@@ -368,6 +389,7 @@ void Machine::run(const std::function<void(Node&)>& fn) {
     node->mailbox_.reset();
     node->clock_.reset();
     node->deferredValid_ = false;
+    node->valueBank_ = false;
   }
 
   // First-exception bookkeeping: a PeerAbortError is only the *echo* of a
@@ -436,7 +458,7 @@ void Machine::abortWith(AbortInfo info) {
     if (abortInfo_.kind == AbortKind::None && info.kind != AbortKind::None) {
       abortInfo_ = std::move(info);
     }
-    aborted_ = true;
+    aborted_.store(true, std::memory_order_release);
   }
   // Wake every way a node (or its helper) can block: the collective
   // rendezvous, each mailbox, and registered aio-style abort-waiters.
@@ -446,7 +468,9 @@ void Machine::abortWith(AbortInfo info) {
     std::lock_guard<std::mutex> lock(abortWaitersMu_);
     for (AbortWaiter* w : abortWaiters_) {
       // Briefly hold the waiter's mutex so the notify cannot slip between
-      // its predicate check and its wait.
+      // its predicate check and its wait. aborted_ is already set, and
+      // aborted() reads it without barrierMu_, so a predicate evaluated
+      // after this lock sees it.
       std::lock_guard<std::mutex> g(*w->mu);
       w->cv->notify_all();
     }
@@ -490,8 +514,7 @@ void Machine::throwAbortErrorHavingLock(std::unique_lock<std::mutex>& lock,
 }
 
 bool Machine::aborted() const {
-  std::lock_guard<std::mutex> lock(barrierMu_);
-  return aborted_;
+  return aborted_.load(std::memory_order_acquire);
 }
 
 double Machine::maxVirtualTime() const {
@@ -517,7 +540,7 @@ void Machine::syncClocksLocked(bool applyCost) {
   pendingCommBytes_ = 0;
   clockTarget_ = maxClock + cost;
   if (applyCost) {
-    // Phase-1 rendezvous of a collective: issue the op id and record who
+    // Costed rendezvous of a collective: issue the op id and record who
     // arrived last (ties break to the lowest node id, deterministically).
     collOpId_ = ++collOpCount_;
     collStraggler_ = straggler;
@@ -539,7 +562,7 @@ void Machine::barrierSync(const char* opName,
   }
   Node& self = *g_currentNode;
   if (applyCost) {
-    // Phase-1 arrival only: deliver any deferred (reordered) send before
+    // Costed arrival only: deliver any deferred (reordered) send before
     // the rendezvous, and let the chaos plan inject straggler skew. The
     // skew is charged to the virtual clock, so the collective's absorbed
     // skew shows up in rt.coll_skew_seconds like any real straggler.
@@ -552,12 +575,9 @@ void Machine::barrierSync(const char* opName,
       }
     }
   }
-  double target;
-  std::uint64_t opId = 0;
-  int straggler = -1;
   {
     std::unique_lock<std::mutex> lock(barrierMu_);
-    if (aborted_) {
+    if (aborted_.load(std::memory_order_relaxed)) {
       throwAbortErrorHavingLock(
           lock, "machine aborted while node was waiting at a barrier");
     }
@@ -582,69 +602,96 @@ void Machine::barrierSync(const char* opName,
     if (barrierArrived_ == 0) genOpName_ = opName;
     arrivedGen_[static_cast<size_t>(self.id_)] = 1;
     ++barrierArrived_;
+    const std::uint64_t gen =
+        barrierGeneration_.load(std::memory_order_relaxed);
     if (barrierArrived_ == nprocs_) {
       if (completion) completion();
       syncClocksLocked(applyCost);
       barrierArrived_ = 0;
-      ++barrierGeneration_;
       std::fill(arrivedGen_.begin(), arrivedGen_.end(), 0);
       genOpName_ = nullptr;
-      target = clockTarget_;
-      barrierCv_.notify_all();
+      // Publishes the staging, clockTarget_ and the op stamp to spinners.
+      barrierGeneration_.store(gen + 1, std::memory_order_release);
+      if (barrierParked_ > 0) barrierCv_.notify_all();
     } else {
-      const std::uint64_t gen = barrierGeneration_;
-      const auto released = [this, gen] {
-        return barrierGeneration_ != gen || aborted_;
-      };
-      if (opts_.collectiveDeadlineSeconds > 0.0) {
-        const auto deadline =
+      // The watchdog deadline runs from arrival, so spinning counts.
+      const bool watchdog = opts_.collectiveDeadlineSeconds > 0.0;
+      std::chrono::steady_clock::time_point deadline{};
+      if (watchdog) {
+        deadline =
             std::chrono::steady_clock::now() +
             std::chrono::duration_cast<std::chrono::steady_clock::duration>(
                 std::chrono::duration<double>(
                     opts_.collectiveDeadlineSeconds));
-        if (!barrierCv_.wait_until(lock, deadline, released)) {
-          // Watchdog trip: the rendezvous stalled past the deadline.
-          // Record who made it and who is missing, then unwind everyone.
-          PCXX_OBS_COUNT(self.obs(), RtWatchdogTrips, 1);
-          AbortInfo info;
-          info.kind = AbortKind::CollTimeout;
-          info.origin = self.id_;
-          info.opId = applyCost ? collOpCount_ + 1 : collOpId_;
-          info.opName = opName != nullptr ? opName : "collective";
-          for (int i = 0; i < nprocs_; ++i) {
-            if (arrivedGen_[static_cast<size_t>(i)]) {
-              info.arrived.push_back(i);
-            } else {
-              info.missing.push_back(i);
-            }
+      }
+      const auto released = [this, gen] {
+        return barrierGeneration_.load(std::memory_order_acquire) != gen ||
+               aborted_.load(std::memory_order_acquire);
+      };
+      lock.unlock();
+      const auto spinEnd = std::chrono::steady_clock::now() + kSpinBudget;
+      while (!released() && std::chrono::steady_clock::now() < spinEnd) {
+        cpuRelax();
+        std::this_thread::yield();
+      }
+      if (barrierGeneration_.load(std::memory_order_acquire) == gen) {
+        // Still pending after the spin budget, or aborted: finish under the
+        // mutex, parking if need be.
+        lock.lock();
+        if (!released()) {
+          ++barrierParked_;
+          bool inTime = true;
+          if (watchdog) {
+            inTime = barrierCv_.wait_until(lock, deadline, released);
+          } else {
+            barrierCv_.wait(lock, released);
           }
-          const AbortInfo mine = info;
-          lock.unlock();
-          abortWith(std::move(info));
-          throw CollectiveTimeoutError(mine.opName, mine.opId, mine.arrived,
-                                       mine.missing);
+          --barrierParked_;
+          if (!inTime) {
+            // Watchdog trip: the rendezvous stalled past the deadline.
+            // Record who made it and who is missing, then unwind everyone.
+            PCXX_OBS_COUNT(self.obs(), RtWatchdogTrips, 1);
+            AbortInfo info;
+            info.kind = AbortKind::CollTimeout;
+            info.origin = self.id_;
+            info.opId = applyCost ? collOpCount_ + 1 : collOpId_;
+            info.opName = opName != nullptr ? opName : "collective";
+            for (int i = 0; i < nprocs_; ++i) {
+              if (arrivedGen_[static_cast<size_t>(i)]) {
+                info.arrived.push_back(i);
+              } else {
+                info.missing.push_back(i);
+              }
+            }
+            const AbortInfo mine = info;
+            lock.unlock();
+            abortWith(std::move(info));
+            throw CollectiveTimeoutError(mine.opName, mine.opId, mine.arrived,
+                                         mine.missing);
+          }
         }
-      } else {
-        barrierCv_.wait(lock, released);
+        // Only treat the abort as fatal if the barrier did NOT complete:
+        // when all nodes arrived, every node gets the collective's result
+        // even if a peer aborted immediately afterwards — this keeps error
+        // propagation through collectives deterministic.
+        if (barrierGeneration_.load(std::memory_order_relaxed) == gen) {
+          throwAbortErrorHavingLock(
+              lock, "machine aborted while node was waiting at a barrier");
+        }
       }
-      // Only treat the abort as fatal if the barrier did NOT complete:
-      // when all nodes arrived, every node gets the collective's result
-      // even if a peer aborted immediately afterwards — this keeps error
-      // propagation through collectives deterministic.
-      if (barrierGeneration_ == gen && aborted_) {
-        throwAbortErrorHavingLock(
-            lock, "machine aborted while node was waiting at a barrier");
-      }
-      target = clockTarget_;
     }
-    opId = collOpId_;
-    straggler = collStraggler_;
   }
+  // Written by the last arriver before its release store; no later
+  // rendezvous can overwrite them until this node arrives there.
+  const double target = clockTarget_;
+  const std::uint64_t opId = collOpId_;
+  const int straggler = collStraggler_;
   if (g_currentNode != nullptr && g_currentNode->machine_ == this) {
     Node& n = *g_currentNode;
     if (applyCost) {
-      // Phase-1 rendezvous of a collective (phase 2 is release-only):
-      // count it once and attribute the absorbed skew to sync wait.
+      // The costed rendezvous of a collective (a release-only one is not
+      // counted): count it once and attribute the absorbed skew to sync
+      // wait.
       PCXX_OBS_COUNT(n.obs(), RtCollectives, 1);
       const double skew = target - n.clock_.now();
       if (skew > 0) {

@@ -177,6 +177,12 @@ class Node {
   /// returns, so a stashed message is delayed by at most one op.
   void flushDeferredSend();
 
+  /// The nprocs slots of `stage` this value collective stages into: the
+  /// bank named by valueBank_, which the call then flips (see the staging
+  /// comment in Machine).
+  template <typename T>
+  std::span<T> nextValueBank(std::vector<T>& stage);
+
   Machine* machine_ = nullptr;
   int id_ = -1;
   VirtualClock clock_;
@@ -189,6 +195,11 @@ class Node {
   bool deferredValid_ = false;
   int deferredDest_ = -1;
   Message deferredMsg_;
+
+  // Which of the two value-collective staging banks the next value
+  // collective uses. Owned by the node's thread; run() resets it, and every
+  // node flips it at the same collectives, so all nodes agree on the bank.
+  bool valueBank_ = false;
 };
 
 /// A simulated distributed-memory machine of `nprocs` nodes.
@@ -219,6 +230,7 @@ class Machine {
   /// Abort: wake everything blocked in recv()/collectives/aio waits with
   /// a typed error (see throwAbortError).
   void abort();
+  /// Lock-free: helper waits call this inside their wait predicates.
   bool aborted() const;
 
   /// Throw the typed error describing why this machine aborted:
@@ -300,11 +312,28 @@ class Machine {
     int tag = kAnyTag;
   };
 
-  // Two-phase collective rendezvous. Phase 1 publishes inputs and runs
-  // `completion` (on the last arriving thread, which may set
-  // pendingCommBytes_ for the cost model); phase 2 releases shared staging
-  // so the next collective can reuse it and applies no cost. `opName` is a
-  // static string naming the collective for the watchdog / mismatch check.
+  // The collective rendezvous. Every node records its arrival under
+  // barrierMu_; the last arriver runs `completion` (which may set
+  // pendingCommBytes_ for the cost model), syncs the clocks and publishes
+  // the next barrierGeneration_ with a release store. The other nodes drop
+  // the mutex and spin-then-park: they poll the generation (acquire load,
+  // one pause and one yield per poll) for kSpinBudget, then retake the
+  // mutex, count themselves in barrierParked_ and sleep on barrierCv_. The
+  // last arriver notifies only when that count is nonzero. The count
+  // changes only under barrierMu_, and a parked waiter takes itself off it
+  // before it returns or throws, so a parked waiter is never missed.
+  // aborted_ is atomic, so a spinning node leaves at once on abort.
+  //
+  // The value collectives (allgatherU64, allreduce*, exclusiveScanU64)
+  // take this one rendezvous: each stages into a machine-owned bank (see
+  // stageU64_) and copies its result out after the release. The
+  // collectives that stage caller memory by reference (allgatherBytes,
+  // gatherBytes, broadcastBytes, scatterBytes, alltoallv[Into]) take a
+  // second, release-only rendezvous (applyCost=false: no cost, no op id,
+  // not counted) so no node returns, and frees or reuses its buffers,
+  // while a peer still reads them. `opName` is a static string naming
+  // the collective for the watchdog / mismatch check; the watchdog
+  // deadline runs from arrival, so time spent spinning counts.
   void barrierSync(const char* opName, const std::function<void()>& completion,
                    bool applyCost);
 
@@ -326,16 +355,19 @@ class Machine {
   MachineOptions opts_;
   std::vector<std::unique_ptr<Node>> nodes_;
 
-  // Sense-reversing barrier.
+  // Generation-counting barrier. barrierArrived_ and barrierParked_ are
+  // guarded by barrierMu_; barrierGeneration_ and aborted_ are written only
+  // under it but read lock-free by spinning waiters and by aborted().
   mutable std::mutex barrierMu_;
   std::condition_variable barrierCv_;
   int barrierArrived_ = 0;
-  std::uint64_t barrierGeneration_ = 0;
-  bool aborted_ = false;
+  int barrierParked_ = 0;  // waiters asleep on barrierCv_
+  std::atomic<std::uint64_t> barrierGeneration_{0};
+  std::atomic<bool> aborted_{false};
   AbortInfo abortInfo_;  // guarded by barrierMu_
 
-  // Watchdog bookkeeping for the in-progress phase-1 rendezvous (guarded
-  // by barrierMu_): which nodes have arrived and what op they entered.
+  // Watchdog bookkeeping for the in-progress rendezvous (guarded by
+  // barrierMu_): which nodes have arrived and what op they entered.
   std::vector<char> arrivedGen_;
   const char* genOpName_ = nullptr;
 
@@ -343,7 +375,14 @@ class Machine {
   std::mutex abortWaitersMu_;
   std::vector<AbortWaiter*> abortWaiters_;
 
-  // Collective staging (valid between phase-1 and phase-2 barriers).
+  // Collective staging. stageSpans_ and stageVecs_ point into caller
+  // memory and are valid until the release rendezvous. stageU64_ and
+  // stageF64_ hold two banks of nprocs slots each: a value collective
+  // writes the bank its node's valueBank_ names, reads it after the one
+  // rendezvous, and flips the bit. Two banks are enough: a node writes
+  // bank b again only two value collectives later, and to get there it
+  // completes the rendezvous in between, which every node reaches only
+  // after it has finished reading bank b.
   std::vector<std::span<const Byte>> stageSpans_;
   std::vector<std::uint64_t> stageU64_;
   std::vector<double> stageF64_;
@@ -351,9 +390,10 @@ class Machine {
   std::uint64_t pendingCommBytes_ = 0;
   double clockTarget_ = 0.0;
 
-  // Collective stamping (guarded by barrierMu_): the last-arriving thread
-  // issues the op id and records which node it was; every node copies both
-  // before leaving the phase-1 rendezvous.
+  // Collective stamping (written under barrierMu_): the last-arriving
+  // thread of a costed rendezvous issues the op id and records which node
+  // it was; every node reads both, and clockTarget_, once released. They
+  // stay put until the next rendezvous, which needs this node to arrive.
   std::uint64_t collOpCount_ = 0;
   std::uint64_t collOpId_ = 0;
   int collStraggler_ = 0;

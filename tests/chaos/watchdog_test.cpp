@@ -27,33 +27,40 @@ MachineOptions withCollectiveDeadline(double seconds) {
   return opts;
 }
 
-// A node that never shows up at a barrier: every *arriving* node gets a
-// CollectiveTimeoutError naming the op and the missing node, and run()
+// A node that never shows up at a collective (a barrier, or a value
+// collective that completes in one rendezvous): every *arriving* node gets
+// a CollectiveTimeoutError naming the op and the missing node, and run()
 // rethrows it.
 TEST(Watchdog, SkippedCollectiveTimesOutOnEveryNode) {
-  Machine m(3, CommModel{}, withCollectiveDeadline(0.3));
-  std::atomic<int> typedCatches{0};
-  try {
-    m.run([&](Node& node) {
-      if (node.id() == 2) return;  // never arrives
-      try {
-        node.barrier();
-      } catch (const CollectiveTimeoutError& e) {
-        EXPECT_EQ(e.opName, "barrier");
-        EXPECT_EQ(e.missing, std::vector<int>{2});
-        EXPECT_EQ(e.arrived.size(), 2u);
-        EXPECT_TRUE(std::count(e.arrived.begin(), e.arrived.end(), 0));
-        EXPECT_TRUE(std::count(e.arrived.begin(), e.arrived.end(), 1));
-        typedCatches.fetch_add(1);
-        throw;
-      }
-    });
-    FAIL() << "expected CollectiveTimeoutError from run()";
-  } catch (const CollectiveTimeoutError& e) {
-    EXPECT_EQ(e.opName, "barrier");
-    EXPECT_EQ(e.missing, std::vector<int>{2});
+  for (const std::string op : {"barrier", "allreduceSum"}) {
+    Machine m(3, CommModel{}, withCollectiveDeadline(0.3));
+    std::atomic<int> typedCatches{0};
+    try {
+      m.run([&](Node& node) {
+        if (node.id() == 2) return;  // never arrives
+        try {
+          if (op == "barrier") {
+            node.barrier();
+          } else {
+            node.allreduceSum(1.0);
+          }
+        } catch (const CollectiveTimeoutError& e) {
+          EXPECT_EQ(e.opName, op);
+          EXPECT_EQ(e.missing, std::vector<int>{2});
+          EXPECT_EQ(e.arrived.size(), 2u);
+          EXPECT_TRUE(std::count(e.arrived.begin(), e.arrived.end(), 0));
+          EXPECT_TRUE(std::count(e.arrived.begin(), e.arrived.end(), 1));
+          typedCatches.fetch_add(1);
+          throw;
+        }
+      });
+      FAIL() << "expected CollectiveTimeoutError from run() in " << op;
+    } catch (const CollectiveTimeoutError& e) {
+      EXPECT_EQ(e.opName, op);
+      EXPECT_EQ(e.missing, std::vector<int>{2});
+    }
+    EXPECT_EQ(typedCatches.load(), 2) << op;
   }
-  EXPECT_EQ(typedCatches.load(), 2);
 }
 
 // A peer blocked in recv() (not at the collective) is also unwound when

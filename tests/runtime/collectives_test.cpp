@@ -1,10 +1,14 @@
 // Unit and property tests for the runtime collectives, across node counts.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <numeric>
+#include <thread>
 
 #include "src/runtime/machine.h"
 #include "src/util/error.h"
+#include "src/util/rng.h"
 
 namespace {
 
@@ -211,6 +215,124 @@ TEST(CollectivesClock, P2pArrivalTimeAdvancesReceiver) {
       EXPECT_NEAR(node.clock().now(), 1e-3 + 500e-6, 1e-12);
     }
   });
+}
+
+// A peer that arrives long after the waiters' spin budget: the waiters
+// park on the condition variable and the late arrival wakes them with exact
+// results. Wall time spent parked is not virtual sync wait, so
+// waitedSeconds() does not move.
+TEST(CollectivesPark, LatePeerWakesParkedWaitersWithExactResults) {
+  for (const int nprocs : {2, 4}) {
+    Machine m(nprocs);
+    m.run([](Node& node) {
+      const int p = node.nprocs();
+      const auto arriveLate = [&node] {
+        if (node.id() == node.nprocs() - 1) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        }
+      };
+      const double waitedBefore = node.clock().waitedSeconds();
+      arriveLate();
+      const auto all =
+          node.allgatherU64(static_cast<std::uint64_t>(node.id() + 1));
+      ASSERT_EQ(static_cast<int>(all.size()), p);
+      for (int i = 0; i < p; ++i) {
+        EXPECT_EQ(all[static_cast<size_t>(i)], static_cast<std::uint64_t>(i + 1));
+      }
+      arriveLate();
+      EXPECT_EQ(node.allreduceMax(static_cast<double>(node.id())),
+                static_cast<double>(p - 1));
+      arriveLate();
+      EXPECT_EQ(node.allreduceSum(1.5), 1.5 * p);
+      arriveLate();
+      EXPECT_EQ(node.allreduceSumU64(2), static_cast<std::uint64_t>(2 * p));
+      arriveLate();
+      EXPECT_EQ(node.exclusiveScanU64(1), static_cast<std::uint64_t>(node.id()));
+      arriveLate();
+      ByteBuffer data;
+      if (node.id() == 0) data = {7, 8, 9};
+      node.broadcastBytes(0, data);
+      EXPECT_EQ(data, (ByteBuffer{7, 8, 9}));
+      arriveLate();
+      node.barrier();
+      EXPECT_EQ(node.clock().waitedSeconds(), waitedBefore);
+    });
+  }
+}
+
+// Node `node`'s operand of value collective number `call`: every node can
+// recompute every peer's operand, and the values are small enough that
+// double sums stay exact.
+std::uint64_t stressOperand(std::uint64_t call, int node) {
+  std::uint64_t state = call * 1000003u + static_cast<std::uint64_t>(node);
+  return splitmix64(state) % 1000;
+}
+
+// Thousands of back-to-back value collectives with no barrier between
+// them, while one seeded node per round lags after each call. A node that
+// leaves a value collective first goes straight on to stage its next
+// operand; that must never land in a slot a slower peer is still reading.
+TEST(CollectivesStress, ValueCollectivesBackToBackWithALaggingNode) {
+  constexpr int kRounds = 1000;
+  constexpr int kCallsPerRound = 4;
+  for (const int nprocs : {2, 3, 4, 7, 16}) {
+    Machine m(nprocs);
+    std::atomic<int> wrong{0};
+    m.run([&wrong](Node& node) {
+      const int p = node.nprocs();
+      Rng rng(0x5EED00u + static_cast<std::uint64_t>(p));  // same on every node
+      std::uint64_t call = 0;
+      for (int round = 0; round < kRounds; ++round) {
+        const int laggard = static_cast<int>(rng.uniformInt(0, p - 1));
+        const bool sleeps = (rng.next() & 1u) != 0;
+        for (int c = 0; c < kCallsPerRound; ++c, ++call) {
+          const std::uint64_t mine = stressOperand(call, node.id());
+          std::uint64_t sum = 0;
+          std::uint64_t max = 0;
+          std::uint64_t prefix = 0;
+          for (int i = 0; i < p; ++i) {
+            const std::uint64_t x = stressOperand(call, i);
+            sum += x;
+            max = std::max(max, x);
+            if (i < node.id()) prefix += x;
+          }
+          bool ok = true;
+          switch (rng.uniformInt(0, 4)) {
+            case 0: {
+              const auto all = node.allgatherU64(mine);
+              for (int i = 0; i < p; ++i) {
+                ok = ok && all[static_cast<size_t>(i)] == stressOperand(call, i);
+              }
+              break;
+            }
+            case 1:
+              ok = node.allreduceMax(static_cast<double>(mine)) ==
+                   static_cast<double>(max);
+              break;
+            case 2:
+              ok = node.allreduceSum(static_cast<double>(mine)) ==
+                   static_cast<double>(sum);
+              break;
+            case 3:
+              ok = node.allreduceSumU64(mine) == sum;
+              break;
+            default:
+              ok = node.exclusiveScanU64(mine) == prefix;
+              break;
+          }
+          if (!ok) wrong.fetch_add(1);
+          if (node.id() == laggard) {
+            if (sleeps) {
+              std::this_thread::sleep_for(std::chrono::microseconds(3));
+            } else {
+              std::this_thread::yield();
+            }
+          }
+        }
+      }
+    });
+    EXPECT_EQ(wrong.load(), 0) << "wrong results at nprocs=" << nprocs;
+  }
 }
 
 }  // namespace

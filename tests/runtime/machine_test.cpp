@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 
 #include "src/runtime/machine.h"
@@ -148,6 +149,37 @@ TEST(Machine, NodeExceptionPropagatesAndUnblocksPeers) {
   }),
                IoError);
   EXPECT_TRUE(m.aborted());
+}
+
+// A peer that throws while the others wait inside a value collective
+// unwinds every waiter with PeerAbortError naming the origin: whether the
+// throw comes first, while the waiters spin, or after they have parked.
+TEST(Machine, ThrowDuringValueCollectiveUnwindsSpinningAndParkedPeers) {
+  using std::chrono::microseconds;
+  for (const microseconds delay :
+       {microseconds(0), microseconds(30), microseconds(5000)}) {
+    Machine m(4);
+    std::atomic<int> typed{0};
+    EXPECT_THROW(m.run([&](Node& node) {
+      if (node.id() == 1) {
+        // Busy-wait the short delay: a sleep would overshoot the spin.
+        const auto until = std::chrono::steady_clock::now() + delay;
+        while (std::chrono::steady_clock::now() < until) {
+        }
+        throw IoError("injected failure");
+      }
+      try {
+        node.allreduceSum(1.0);
+      } catch (const PeerAbortError& e) {
+        EXPECT_EQ(e.originNode, 1);
+        typed.fetch_add(1);
+        throw;
+      }
+    }),
+                 IoError)
+        << "delay " << delay.count() << " us";
+    EXPECT_EQ(typed.load(), 3) << "delay " << delay.count() << " us";
+  }
 }
 
 TEST(Machine, ExceptionWhileBlockedInRecvUnblocks) {
