@@ -19,17 +19,15 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <functional>
-#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "bench/bench_obs.h"
 #include "src/collection/collection.h"
 #include "src/dstream/dstream.h"
 #include "src/obs/obs.h"
-#include "src/util/error.h"
 #include "src/util/options.h"
 #include "src/util/strfmt.h"
 #include "src/util/table.h"
@@ -53,7 +51,7 @@ struct RunResult {
   std::uint64_t dedupHits = 0;
   std::uint64_t damagedChunks = 0;
   std::int64_t mismatches = 0;
-  std::string metricsJson;  // empty when obs is compiled out
+  obs::MetricsSnapshot snapshot;  // empty when obs is compiled out
 };
 
 /// Write two identical epochs with per-epoch stream options from `optFor`,
@@ -110,7 +108,7 @@ RunResult runMode(std::int64_t elements,
   res.dedupHits = snap.merged.counter(obs::Counter::PfsCodecDedupHits);
   res.damagedChunks =
       snap.merged.counter(obs::Counter::PfsCodecDamagedChunks);
-  res.metricsJson = obs::snapshotJson(snap);
+  res.snapshot = std::move(snap);
 #endif
   res.mismatches = bad.load();
   return res;
@@ -237,20 +235,8 @@ int main(int argc, char** argv) {
       "never had to move");
   t.print();
 
-  const std::string metricsPath = opts.get("metrics-json");
-  if (!metricsPath.empty()) {
-    std::ofstream out(metricsPath, std::ios::binary | std::ios::trunc);
-    if (!out) throw IoError("cannot open metrics output file: " + metricsPath);
-    out << "{\"schema\": \"pcxx-bench-metrics-v1\", \"runs\": [\n";
-    for (size_t i = 0; i < std::size(modes); ++i) {
-      out << "{\"label\": \"" << modes[i].label
-          << "\", \"metrics\": " << modes[i].res.metricsJson << "}"
-          << (i + 1 < std::size(modes) ? "," : "") << "\n";
-    }
-    out << "]}\n";
-    if (!out) {
-      throw IoError("failed writing metrics output file: " + metricsPath);
-    }
-  }
+  benchutil::MetricsDump dump(opts.get("metrics-json"));
+  for (const Mode& mode : modes) dump.add(mode.label, mode.res.snapshot);
+  dump.write();
   return ok ? 0 : 1;
 }

@@ -13,15 +13,13 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <string>
-#include <utility>
 #include <vector>
 
+#include "bench/bench_obs.h"
 #include "src/collection/collection.h"
 #include "src/dstream/dstream.h"
 #include "src/obs/obs.h"
-#include "src/util/error.h"
 #include "src/util/options.h"
 #include "src/util/strfmt.h"
 #include "src/util/table.h"
@@ -42,7 +40,7 @@ struct RunResult {
   std::uint64_t indexHits = 0;
   std::uint64_t fallbacks = 0;
   std::int64_t mismatches = 0;
-  std::string metricsJson;  // empty when obs is compiled out
+  obs::MetricsSnapshot snapshot;  // empty when obs is compiled out
 };
 
 /// Fetch records {records-1, records/2} `repeats` times on `q` nodes,
@@ -87,10 +85,10 @@ RunResult runSeek(pfs::Pfs& fs, const std::string& file, int q,
           .count();
 #if PCXX_OBS_ENABLED
   m.detachObserver();
-  const auto snap = reg.snapshot();
+  res.snapshot = reg.snapshot();
+  const obs::MetricsSnapshot& snap = res.snapshot;
   res.indexHits = snap.merged.counter(obs::Counter::DsIndexHits);
   res.fallbacks = snap.merged.counter(obs::Counter::DsIndexFallbacks);
-  res.metricsJson = obs::snapshotJson(snap);
 #endif
   res.mismatches = bad.load();
   return res;
@@ -124,7 +122,7 @@ int main(int argc, char** argv) {
                  readers));
   t.setHeader({"records", "indexed seek", "chain replay", "speedup",
                "index hits", "fallbacks"});
-  std::vector<std::pair<std::string, std::string>> metricRuns;
+  benchutil::MetricsDump dump(opts.get("metrics-json"));
   bool ok = true;
   for (int records : sweep) {
     if (records > maxRecords) continue;
@@ -169,12 +167,8 @@ int main(int argc, char** argv) {
                    records);
       ok = false;
     }
-    if (!indexed.metricsJson.empty()) {
-      metricRuns.emplace_back(strfmt("records=%d indexed", records),
-                              indexed.metricsJson);
-      metricRuns.emplace_back(strfmt("records=%d replay", records),
-                              replay.metricsJson);
-    }
+    dump.add(strfmt("records=%d indexed", records), indexed.snapshot);
+    dump.add(strfmt("records=%d replay", records), replay.snapshot);
 #endif
     t.addRow({strfmt("%d", records),
               strfmt("%.3f sec.", indexed.seconds),
@@ -191,20 +185,6 @@ int main(int argc, char** argv) {
                 "indexed path a constant number of I/Os per seek");
   t.print();
 
-  const std::string metricsPath = opts.get("metrics-json");
-  if (!metricsPath.empty()) {
-    std::ofstream out(metricsPath, std::ios::binary | std::ios::trunc);
-    if (!out) throw IoError("cannot open metrics output file: " + metricsPath);
-    out << "{\"schema\": \"pcxx-bench-metrics-v1\", \"runs\": [\n";
-    for (size_t i = 0; i < metricRuns.size(); ++i) {
-      out << "{\"label\": \"" << metricRuns[i].first
-          << "\", \"metrics\": " << metricRuns[i].second << "}"
-          << (i + 1 < metricRuns.size() ? "," : "") << "\n";
-    }
-    out << "]}\n";
-    if (!out) {
-      throw IoError("failed writing metrics output file: " + metricsPath);
-    }
-  }
+  dump.write();
   return ok ? 0 : 1;
 }

@@ -16,18 +16,16 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <string>
-#include <utility>
 #include <vector>
 
+#include "bench/bench_obs.h"
 #include "src/collection/collection.h"
 #include "src/dstream/dstream.h"
 #include "src/obs/obs.h"
 #include "src/redist/redist.h"
 #include "src/scf/segment.h"
 #include "src/scf/workload.h"
-#include "src/util/error.h"
 #include "src/util/options.h"
 #include "src/util/strfmt.h"
 #include "src/util/table.h"
@@ -44,7 +42,7 @@ struct RunResult {
   std::uint64_t planHits = 0;
   std::uint64_t planMisses = 0;
   std::int64_t mismatches = 0;
-  std::string metricsJson;  // empty when obs is compiled out
+  obs::MetricsSnapshot snapshot;  // empty when obs is compiled out
 };
 
 /// Read the file back `repeats` times on `q` nodes under `kind`, verifying
@@ -83,10 +81,10 @@ RunResult runRead(pfs::Pfs& fs, int q, coll::DistKind kind,
           .count();
 #if PCXX_OBS_ENABLED
   m.detachObserver();
-  const auto snap = reg.snapshot();
+  res.snapshot = reg.snapshot();
+  const obs::MetricsSnapshot& snap = res.snapshot;
   res.planHits = snap.merged.counter(obs::Counter::RedistPlanHits);
   res.planMisses = snap.merged.counter(obs::Counter::RedistPlanMisses);
-  res.metricsJson = obs::snapshotJson(snap);
 #endif
   res.mismatches = bad.load();
   return res;
@@ -221,7 +219,7 @@ int main(int argc, char** argv) {
                  repeats));
   t.setHeader({"readers", "layout", "chunk budget", "wall time",
                "plan hits/misses"});
-  std::vector<std::pair<std::string, std::string>> metricRuns;
+  benchutil::MetricsDump dump(opts.get("metrics-json"));
   bool ok = true;
   for (const Config& c : configs) {
     ds::StreamOptions planOpts;
@@ -247,13 +245,9 @@ int main(int argc, char** argv) {
                    c.readers, kindName);
       ok = false;
     }
-    if (!plan.metricsJson.empty()) {
-      metricRuns.emplace_back(strfmt("readers=%d %s chunk=%llu plan",
-                                     c.readers, kindName,
-                                     static_cast<unsigned long long>(
-                                         c.chunkBytes)),
-                              plan.metricsJson);
-    }
+    dump.add(strfmt("readers=%d %s chunk=%llu plan", c.readers, kindName,
+                    static_cast<unsigned long long>(c.chunkBytes)),
+             plan.snapshot);
 #endif
     t.addRow({strfmt("%d", c.readers), kindName,
               c.chunkBytes == 0 ? std::string("unchunked")
@@ -271,20 +265,6 @@ int main(int argc, char** argv) {
 
   if (!nodeCountTable()) ok = false;
 
-  const std::string metricsPath = opts.get("metrics-json");
-  if (!metricsPath.empty()) {
-    std::ofstream out(metricsPath, std::ios::binary | std::ios::trunc);
-    if (!out) throw IoError("cannot open metrics output file: " + metricsPath);
-    out << "{\"schema\": \"pcxx-bench-metrics-v1\", \"runs\": [\n";
-    for (size_t i = 0; i < metricRuns.size(); ++i) {
-      out << "{\"label\": \"" << metricRuns[i].first
-          << "\", \"metrics\": " << metricRuns[i].second << "}"
-          << (i + 1 < metricRuns.size() ? "," : "") << "\n";
-    }
-    out << "]}\n";
-    if (!out) {
-      throw IoError("failed writing metrics output file: " + metricsPath);
-    }
-  }
+  dump.write();
   return ok ? 0 : 1;
 }

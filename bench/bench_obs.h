@@ -5,7 +5,6 @@
 // thread one instance through unconditionally.
 #pragma once
 
-#include <fstream>
 #include <memory>
 #include <string>
 #include <utility>
@@ -13,7 +12,7 @@
 
 #include "src/obs/obs.h"
 #include "src/runtime/machine.h"
-#include "src/util/error.h"
+#include "src/util/json.h"
 
 namespace pcxx::benchutil {
 
@@ -36,28 +35,33 @@ class MetricsDump {
   /// Snapshot the registry from the last attach() under `label`.
   void capture(const std::string& label) {
     if (registry_ == nullptr) return;
-    runs_.emplace_back(label, obs::snapshotJson(registry_->snapshot()));
+    add(label, registry_->snapshot());
     registry_.reset();
+  }
+
+  /// Record a snapshot the bench took from its own registry.
+  void add(std::string label, obs::MetricsSnapshot snapshot) {
+    if (enabled()) runs_.emplace_back(std::move(label), std::move(snapshot));
   }
 
   void write() const {
     if (!enabled()) return;
-    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
-    if (!out) throw IoError("cannot open metrics output file: " + path_);
-    out << "{\"schema\": \"pcxx-bench-metrics-v1\", \"runs\": [\n";
-    for (size_t i = 0; i < runs_.size(); ++i) {
-      out << "{\"label\": \"" << runs_[i].first
-          << "\", \"metrics\": " << runs_[i].second << "}"
-          << (i + 1 < runs_.size() ? "," : "") << "\n";
+    json::Writer w;
+    w.beginObject().member("schema", "pcxx-bench-metrics-v1").key("runs")
+        .beginArray();
+    for (const auto& [label, snapshot] : runs_) {
+      w.beginObject().member("label", label).key("metrics");
+      obs::writeSnapshot(w, snapshot);
+      w.endObject();
     }
-    out << "]}\n";
-    if (!out) throw IoError("failed writing metrics output file: " + path_);
+    w.endArray().endObject();
+    json::writeFile(path_, w.str());
   }
 
  private:
   std::string path_;
   std::unique_ptr<obs::MetricsRegistry> registry_;
-  std::vector<std::pair<std::string, std::string>> runs_;  // label -> JSON
+  std::vector<std::pair<std::string, obs::MetricsSnapshot>> runs_;
 };
 
 }  // namespace pcxx::benchutil

@@ -3,34 +3,9 @@
 #include <algorithm>
 #include <sstream>
 
+#include "util/json.h"
+
 namespace pcxx::dslint {
-namespace {
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-std::string jsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 const char* severityName(Severity s) {
   switch (s) {
@@ -101,48 +76,44 @@ std::string DiagnosticEngine::renderText() const {
 }
 
 std::string DiagnosticEngine::renderJson() const {
-  std::ostringstream os;
-  os << "{\"diagnostics\":[";
-  for (size_t i = 0; i < diags_.size(); ++i) {
-    const Diagnostic& d = diags_[i];
-    if (i) os << ",";
-    os << "{\"file\":\"" << jsonEscape(d.file) << "\",\"line\":" << d.line
-       << ",\"col\":" << d.col << ",\"id\":\"" << d.id << "\",\"severity\":\""
-       << severityName(d.severity) << "\",\"message\":\""
-       << jsonEscape(d.message) << "\"}";
+  json::Writer w;
+  w.beginObject().key("diagnostics").beginArray();
+  for (const Diagnostic& d : diags_) {
+    w.beginObject().member("file", d.file).member("line", d.line)
+        .member("col", d.col).member("id", d.id)
+        .member("severity", severityName(d.severity))
+        .member("message", d.message).endObject();
   }
-  os << "],\"count\":" << diags_.size() << "}\n";
-  return os.str();
+  w.endArray().member("count", diags_.size()).endObject();
+  return w.str();
 }
 
 std::string DiagnosticEngine::renderSarif() const {
-  std::ostringstream os;
-  os << "{\"version\":\"2.1.0\",\"$schema\":"
-        "\"https://json.schemastore.org/sarif-2.1.0.json\",\"runs\":[{";
-  os << "\"tool\":{\"driver\":{\"name\":\"dslint\","
-        "\"informationUri\":\"docs/DSLINT.md\",\"rules\":[";
-  const auto& rules = ruleCatalog();
-  for (size_t i = 0; i < rules.size(); ++i) {
-    if (i) os << ",";
-    os << "{\"id\":\"" << rules[i].id << "\",\"shortDescription\":{\"text\":\""
-       << jsonEscape(rules[i].shortDescription) << "\"}}";
+  json::Writer w;
+  w.beginObject().member("version", "2.1.0")
+      .member("$schema", "https://json.schemastore.org/sarif-2.1.0.json")
+      .key("runs").beginArray().beginObject();
+  w.key("tool").beginObject().key("driver").beginObject()
+      .member("name", "dslint").member("informationUri", "docs/DSLINT.md")
+      .key("rules").beginArray();
+  for (const RuleInfo& r : ruleCatalog()) {
+    w.beginObject().member("id", r.id).key("shortDescription").beginObject()
+        .member("text", r.shortDescription).endObject().endObject();
   }
-  os << "]}},\"results\":[";
-  for (size_t i = 0; i < diags_.size(); ++i) {
-    const Diagnostic& d = diags_[i];
-    if (i) os << ",";
-    const char* level = "error";
-    if (d.severity == Severity::Warning) level = "warning";
-    if (d.severity == Severity::Note) level = "note";
-    os << "{\"ruleId\":\"" << jsonEscape(d.id) << "\",\"level\":\"" << level
-       << "\",\"message\":{\"text\":\"" << jsonEscape(d.message)
-       << "\"},\"locations\":[{\"physicalLocation\":{\"artifactLocation\":"
-          "{\"uri\":\""
-       << jsonEscape(d.file) << "\"},\"region\":{\"startLine\":" << d.line
-       << ",\"startColumn\":" << d.col << "}}}]}";
+  w.endArray().endObject().endObject().key("results").beginArray();
+  for (const Diagnostic& d : diags_) {
+    w.beginObject().member("ruleId", d.id)
+        .member("level", severityName(d.severity))
+        .key("message").beginObject().member("text", d.message).endObject()
+        .key("locations").beginArray().beginObject()
+        .key("physicalLocation").beginObject()
+        .key("artifactLocation").beginObject().member("uri", d.file).endObject()
+        .key("region").beginObject().member("startLine", d.line)
+        .member("startColumn", d.col).endObject()
+        .endObject().endObject().endArray().endObject();
   }
-  os << "]}]}\n";
-  return os.str();
+  w.endArray().endObject().endArray().endObject();
+  return w.str();
 }
 
 size_t DiagnosticEngine::applyBaseline(const std::string& baselineText) {

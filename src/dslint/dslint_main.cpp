@@ -10,7 +10,7 @@
 //
 // --baseline FILE suppresses known findings ("DSxxx path:line" per line,
 // '#' comments); --strict adds DS109 notes where a stream escapes to
-// unanalyzed code. --json is kept as an alias for --format=json.
+// unanalyzed code.
 //
 // Exit status: 0 when every file is clean (after baseline suppression),
 // 1 when diagnostics were reported, 2 on usage or I/O errors.
@@ -36,7 +36,6 @@ int main(int argc, char** argv) {
   opts.add("baseline", "",
            "suppress diagnostics listed in FILE (one 'DSxxx path:line' "
            "entry per line, '#' comments)");
-  opts.addFlag("json", "alias for --format=json (kept for CI scripts)");
   opts.addFlag("strict",
                "emit DS109 notes where a d/stream escapes to unanalyzed "
                "code and tracking is dropped");
@@ -55,8 +54,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::string format = opts.get("format");
-  if (opts.getFlag("json")) format = "json";
+  const std::string format = opts.get("format");
   if (format != "text" && format != "json" && format != "sarif") {
     std::cerr << "dslint: unknown --format '" << format
               << "' (expected text, json, or sarif)\n";
@@ -106,7 +104,7 @@ int main(int argc, char** argv) {
   diags.sort();
 
   if (format == "json") {
-    std::cout << diags.renderJson() << "\n";
+    std::cout << diags.renderJson();
   } else if (format == "sarif") {
     std::cout << diags.renderSarif();
   } else {

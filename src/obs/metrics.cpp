@@ -1,6 +1,6 @@
 #include "obs/obs.h"
 
-#include <sstream>
+#include "util/json.h"
 
 namespace pcxx::obs {
 
@@ -199,77 +199,62 @@ void MetricsRegistry::reset() {
 }
 
 // ---------------------------------------------------------------------------
-// snapshotJson
+// JSON
 // ---------------------------------------------------------------------------
+
+void writeCountersAndSeconds(json::Writer& w, const NodeSnapshot& n) {
+  w.key("counters").beginObject();
+  for (int c = 0; c < kNumCounters; ++c) {
+    const std::uint64_t v = n.counters[static_cast<size_t>(c)];
+    if (v != 0) w.member(counterName(static_cast<Counter>(c)), v);
+  }
+  w.endObject().key("seconds").beginObject();
+  for (int t = 0; t < kNumTimers; ++t) {
+    const double v = n.seconds[static_cast<size_t>(t)];
+    if (v != 0.0) w.member(timerName(static_cast<Timer>(t)), v);
+  }
+  w.endObject();
+}
 
 namespace {
 
-void appendNodeJson(std::ostringstream& ss, const NodeSnapshot& n,
-                    const char* indent) {
-  ss << indent << "\"counters\": {";
-  bool first = true;
-  for (int c = 0; c < kNumCounters; ++c) {
-    const std::uint64_t v = n.counters[static_cast<size_t>(c)];
-    if (v == 0) continue;
-    ss << (first ? "" : ", ") << "\"" << counterName(static_cast<Counter>(c))
-       << "\": " << v;
-    first = false;
-  }
-  ss << "},\n";
-  ss << indent << "\"seconds\": {";
-  first = true;
-  for (int t = 0; t < kNumTimers; ++t) {
-    const double v = n.seconds[static_cast<size_t>(t)];
-    if (v == 0.0) continue;
-    ss << (first ? "" : ", ") << "\"" << timerName(static_cast<Timer>(t))
-       << "\": " << v;
-    first = false;
-  }
-  ss << "},\n";
-  ss << indent << "\"histograms\": {";
-  first = true;
+void writeNode(json::Writer& w, const NodeSnapshot& n) {
+  w.beginObject();
+  writeCountersAndSeconds(w, n);
+  w.key("histograms").beginObject();
   for (int h = 0; h < kNumHists; ++h) {
+    const auto& buckets = n.hists[static_cast<size_t>(h)];
     std::uint64_t total = 0;
-    for (int b = 0; b < Histogram::kBuckets; ++b) {
-      total += n.hists[static_cast<size_t>(h)][static_cast<size_t>(b)];
-    }
+    for (const std::uint64_t v : buckets) total += v;
     if (total == 0) continue;
-    ss << (first ? "" : ", ") << "\"" << histName(static_cast<Hist>(h))
-       << "\": [";
-    bool firstB = true;
+    w.key(histName(static_cast<Hist>(h))).beginArray();
     for (int b = 0; b < Histogram::kBuckets; ++b) {
-      const std::uint64_t v =
-          n.hists[static_cast<size_t>(h)][static_cast<size_t>(b)];
+      const std::uint64_t v = buckets[static_cast<size_t>(b)];
       if (v == 0) continue;
-      ss << (firstB ? "" : ", ") << "{\"ge\": " << Histogram::bucketLow(b)
-         << ", \"count\": " << v << "}";
-      firstB = false;
+      w.beginObject().member("ge", Histogram::bucketLow(b))
+          .member("count", v).endObject();
     }
-    ss << "]";
-    first = false;
+    w.endArray();
   }
-  ss << "},\n";
-  ss << indent << "\"peer_bytes\": [";
-  for (size_t p = 0; p < n.peerBytes.size(); ++p) {
-    ss << (p == 0 ? "" : ", ") << n.peerBytes[p];
-  }
-  ss << "]";
+  w.endObject().key("peer_bytes").beginArray();
+  for (const std::uint64_t v : n.peerBytes) w.value(v);
+  w.endArray().endObject();
 }
 
 }  // namespace
 
+void writeSnapshot(json::Writer& w, const MetricsSnapshot& s) {
+  w.beginObject().key("merged");
+  writeNode(w, s.merged);
+  w.key("per_node").beginArray();
+  for (const NodeSnapshot& n : s.perNode) writeNode(w, n);
+  w.endArray().endObject();
+}
+
 std::string snapshotJson(const MetricsSnapshot& s) {
-  std::ostringstream ss;
-  ss << "{\n  \"merged\": {\n";
-  appendNodeJson(ss, s.merged, "    ");
-  ss << "\n  },\n  \"per_node\": [\n";
-  for (size_t i = 0; i < s.perNode.size(); ++i) {
-    ss << "    {\n";
-    appendNodeJson(ss, s.perNode[i], "      ");
-    ss << "\n    }" << (i + 1 < s.perNode.size() ? "," : "") << "\n";
-  }
-  ss << "  ]\n}";
-  return ss.str();
+  json::Writer w;
+  writeSnapshot(w, s);
+  return w.str();
 }
 
 }  // namespace pcxx::obs

@@ -29,6 +29,8 @@
 #include <string>
 #include <vector>
 
+#include "util/json.h"
+
 #ifndef PCXX_OBS_ENABLED
 #define PCXX_OBS_ENABLED 1
 #endif
@@ -236,10 +238,14 @@ class MetricsRegistry {
   std::vector<std::unique_ptr<NodeMetrics>> nodes_;
 };
 
-/// Render a snapshot's non-zero metrics as a JSON object string (counters,
-/// seconds, histograms, peer-byte matrix) — the generic machine-readable
-/// dump used by `--metrics-json` on benches without a phase report.
-std::string snapshotJson(const MetricsSnapshot& s);
+/// Write a snapshot's non-zero metrics ("merged" and "per_node" counters,
+/// seconds, histograms, peer-byte matrix) as one JSON object: the generic
+/// `--metrics-json` dump of benches without a phase report.
+void writeSnapshot(json::Writer& w, const MetricsSnapshot& s);
+std::string snapshotJson(const MetricsSnapshot& s);  ///< as a document
+/// Write the "counters" and "seconds" members (non-zero entries only) of
+/// `n` into the object `w` has open.
+void writeCountersAndSeconds(json::Writer& w, const NodeSnapshot& n);
 
 // ---------------------------------------------------------------------------
 // TraceSession — Chrome trace_event JSON

@@ -1,11 +1,7 @@
 #include "obs/obs.h"
 
-#include <cinttypes>
-#include <cstdio>
-#include <fstream>
-#include <sstream>
-
-#include "util/error.h"
+#include "util/json.h"
+#include "util/strfmt.h"
 
 namespace pcxx::obs {
 
@@ -20,42 +16,33 @@ std::size_t TraceSession::eventCount() const {
 }
 
 std::string TraceSession::toJson() const {
-  std::ostringstream ss;
-  ss << "{\"traceEvents\": [\n";
-  bool first = true;
-  char buf[64];
+  json::Writer w;
+  w.beginObject().key("traceEvents").beginArray();
   // Metadata: name each tid track. The first nnodes_ tracks are the node
   // threads; the aux flusher/prefetch tracks only appear when they carry
   // events so synchronous runs keep the exact pre-aio trace layout.
   const size_t n = static_cast<size_t>(nnodes_);
   for (size_t track = 0; track < perNode_.size(); ++track) {
     if (track >= n && perNode_[track].empty()) continue;
-    ss << (first ? "" : ",\n")
-       << "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 0, \"tid\": "
-       << track << ", \"args\": {\"name\": \"";
-    if (track < n) {
-      ss << "node " << track;
-    } else if (track < 2 * n) {
-      ss << "aio flusher " << (track - n);
-    } else {
-      ss << "aio prefetch " << (track - 2 * n);
-    }
-    ss << "\"}}";
-    first = false;
+    std::string name = track < n       ? "node "
+                       : track < 2 * n ? "aio flusher "
+                                       : "aio prefetch ";
+    name += std::to_string(track % n);
+    w.beginObject().member("name", "thread_name").member("ph", "M")
+        .member("pid", 0).member("tid", track).key("args").beginObject()
+        .member("name", name).endObject().endObject();
   }
   for (size_t node = 0; node < perNode_.size(); ++node) {
     for (const Event& e : perNode_[node]) {
-      // Microsecond timestamps, printed as a fixed-point decimal so the
-      // JSON is stable across locales and float-format settings.
-      std::snprintf(buf, sizeof(buf), "%.3f", e.tsSeconds * 1e6);
-      ss << (first ? "" : ",\n") << "{\"name\": \"" << e.name
-         << "\", \"cat\": \"pcxx\", \"ph\": \"" << e.phase
-         << "\", \"ts\": " << buf << ", \"pid\": 0, \"tid\": " << node;
+      // Microsecond timestamps with three decimals, one event per line:
+      // the layout Perfetto, pcxx-prof and the trace tests read.
+      w.beginObject().member("name", e.name).member("cat", "pcxx")
+          .member("ph", std::string_view(&e.phase, 1)).key("ts")
+          .fixed3(e.tsSeconds * 1e6).member("pid", 0).member("tid", node);
       if (e.phase == 'C') {
-        std::snprintf(buf, sizeof(buf), "%.3f", e.value);
-        ss << ", \"args\": {\"value\": " << buf << "}";
+        w.key("args").beginObject().key("value").fixed3(e.value).endObject();
       } else if (e.phase == 'i') {
-        ss << ", \"s\": \"t\"";
+        w.member("s", "t");
       } else if (e.phase == 's' || e.phase == 't' || e.phase == 'f') {
         // Flow events carry their correlation id, printed as a hex string:
         // ids above 2^62 (the p2p/collective id spaces) are not exactly
@@ -63,40 +50,18 @@ std::string TraceSession::toJson() const {
         // collide in double-based consumers. The terminator binds to the
         // enclosing slice ("bp":"e") so Perfetto draws the arrow into the
         // span that consumed the flow, not to a bare point.
-        std::snprintf(buf, sizeof(buf), "0x%" PRIx64, e.id);
-        ss << ", \"id\": \"" << buf << "\"";
-        if (e.phase == 'f') ss << ", \"bp\": \"e\"";
+        w.member("id", strfmt("0x%llx", static_cast<unsigned long long>(e.id)));
+        if (e.phase == 'f') w.member("bp", "e");
       }
-      ss << "}";
-      first = false;
+      w.endObject();
     }
   }
-  ss << "\n], \"displayTimeUnit\": \"ms\"}\n";
-  return ss.str();
+  w.endArray().member("displayTimeUnit", "ms").endObject();
+  return w.str();
 }
 
 void TraceSession::writeJson(const std::string& path) const {
-  // Dump to a sibling temp file and rename it into place: rename within a
-  // directory is atomic on POSIX, so readers (and the fault/crash-sweep CI
-  // legs) either see the previous artifact or the complete new one, never
-  // a truncated half-written trace.
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      throw IoError("cannot open trace output file: " + tmp);
-    }
-    out << toJson();
-    out.flush();
-    if (!out) {
-      std::remove(tmp.c_str());
-      throw IoError("failed writing trace output file: " + tmp);
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw IoError("cannot rename trace output file into place: " + path);
-  }
+  json::writeFile(path, toJson());
 }
 
 }  // namespace pcxx::obs

@@ -35,13 +35,13 @@
 #include <string>
 #include <vector>
 
-#include "prof/json.h"
 #include "util/error.h"
+#include "util/json.h"
 #include "util/options.h"
 
 namespace {
 
-using pcxx::prof::JsonValue;
+namespace json = pcxx::json;
 
 // ---------------------------------------------------------------------------
 // Report model
@@ -113,20 +113,20 @@ void sortLeague(std::vector<NodeWaitRow>& league) {
 // pcxx-metrics-v1 (table benches)
 // ---------------------------------------------------------------------------
 
-void profileMetricsV1(const JsonValue& doc, double maxOffPct,
+void profileMetricsV1(const json::Value& doc, double maxOffPct,
                       std::vector<CellProfile>& out) {
-  const JsonValue* tables = doc.find("tables");
+  const json::Value* tables = doc.find("tables");
   if (tables == nullptr || !tables->isArray()) {
     throw pcxx::FormatError("pcxx-metrics-v1 document has no tables array");
   }
-  for (const JsonValue& table : tables->items) {
+  for (const json::Value& table : tables->items) {
     const std::string title = table.stringAt("title", "(untitled)");
-    const JsonValue* cells = table.find("cells");
+    const json::Value* cells = table.find("cells");
     if (cells == nullptr || !cells->isArray()) continue;
-    for (const JsonValue& cell : cells->items) {
-      const JsonValue* methods = cell.find("methods");
+    for (const json::Value& cell : cells->items) {
+      const json::Value* methods = cell.find("methods");
       if (methods == nullptr || !methods->isArray()) continue;
-      for (const JsonValue& method : methods->items) {
+      for (const json::Value& method : methods->items) {
         CellProfile p;
         p.table = title;
         p.method = method.stringAt("method", "(unnamed)");
@@ -134,9 +134,9 @@ void profileMetricsV1(const JsonValue& doc, double maxOffPct,
         p.bytes = cell.countAt("bytes");
         p.totalSeconds = method.numberAt("total_seconds");
 
-        const JsonValue* perNode = method.find("per_node");
+        const json::Value* perNode = method.find("per_node");
         if (perNode != nullptr && perNode->isArray()) {
-          for (const JsonValue& n : perNode->items) {
+          for (const json::Value& n : perNode->items) {
             NodeWaitRow row;
             row.node = static_cast<int>(n.numberAt("node"));
             row.total = n.numberAt("total_seconds");
@@ -154,14 +154,14 @@ void profileMetricsV1(const JsonValue& doc, double maxOffPct,
           // The critical path is the last-finishing node: decompose ITS
           // phase breakdown, not the merged one, so the segments explain
           // what the bench total was actually spent on.
-          for (const JsonValue& n : perNode->items) {
+          for (const json::Value& n : perNode->items) {
             if (static_cast<int>(n.numberAt("node")) != p.criticalNode) {
               continue;
             }
-            const JsonValue* phases = n.find("phases");
+            const json::Value* phases = n.find("phases");
             if (phases != nullptr && phases->isObject()) {
               for (const auto& m : phases->members) {
-                if (m.second.kind != JsonValue::Kind::Number) continue;
+                if (m.second.kind != json::Value::Kind::Number) continue;
                 p.phases.push_back({m.first, m.second.number});
                 p.segmentSum += m.second.number;
               }
@@ -184,25 +184,25 @@ void profileMetricsV1(const JsonValue& doc, double maxOffPct,
 // pcxx-bench-metrics-v1 (ablation benches)
 // ---------------------------------------------------------------------------
 
-void profileBenchMetricsV1(const JsonValue& doc, const std::string& file,
+void profileBenchMetricsV1(const json::Value& doc, const std::string& file,
                            std::vector<BenchRunProfile>& out) {
-  const JsonValue* runs = doc.find("runs");
+  const json::Value* runs = doc.find("runs");
   if (runs == nullptr || !runs->isArray()) {
     throw pcxx::FormatError(
         "pcxx-bench-metrics-v1 document has no runs array");
   }
-  for (const JsonValue& run : runs->items) {
+  for (const json::Value& run : runs->items) {
     BenchRunProfile p;
     p.file = file;
     p.label = run.stringAt("label", "(unlabeled)");
-    const JsonValue* metrics = run.find("metrics");
-    const JsonValue* perNode =
+    const json::Value* metrics = run.find("metrics");
+    const json::Value* perNode =
         metrics != nullptr ? metrics->find("per_node") : nullptr;
     if (perNode != nullptr && perNode->isArray()) {
       for (size_t i = 0; i < perNode->items.size(); ++i) {
-        const JsonValue& n = perNode->items[i];
-        const JsonValue* counters = n.find("counters");
-        const JsonValue* seconds = n.find("seconds");
+        const json::Value& n = perNode->items[i];
+        const json::Value* counters = n.find("counters");
+        const json::Value* seconds = n.find("seconds");
         NodeWaitRow row;
         row.node = static_cast<int>(i);
         if (counters != nullptr) {
@@ -229,19 +229,19 @@ void profileBenchMetricsV1(const JsonValue& doc, const std::string& file,
 // Flow ids are hex strings in the emitted traces (numeric ids above 2^62
 // would collapse under double parsing); tolerate plain numbers for
 // foreign traces.
-std::string flowIdOf(const JsonValue& e) {
-  const JsonValue* v = e.find("id");
+std::string flowIdOf(const json::Value& e) {
+  const json::Value* v = e.find("id");
   if (v == nullptr) return {};
-  if (v->kind == JsonValue::Kind::String) return v->str;
+  if (v->kind == json::Value::Kind::String) return v->str;
   std::ostringstream ss;
   ss.precision(17);
   ss << v->number;
   return ss.str();
 }
 
-void profileTrace(const JsonValue& doc, const std::string& file,
+void profileTrace(const json::Value& doc, const std::string& file,
                   std::vector<TraceProfile>& out) {
-  const JsonValue* events = doc.find("traceEvents");
+  const json::Value* events = doc.find("traceEvents");
   if (events == nullptr || !events->isArray()) {
     throw pcxx::FormatError("trace document has no traceEvents array");
   }
@@ -251,7 +251,7 @@ void profileTrace(const JsonValue& doc, const std::string& file,
   std::set<std::string> ended;
   std::size_t collBegins = 0;
   std::size_t collEnds = 0;
-  for (const JsonValue& e : events->items) {
+  for (const json::Value& e : events->items) {
     const std::string ph = e.stringAt("ph");
     const std::string name = e.stringAt("name");
     if (ph == "M") continue;  // metadata records are not trace events
@@ -285,13 +285,6 @@ void profileTrace(const JsonValue& doc, const std::string& file,
 // Rendering
 // ---------------------------------------------------------------------------
 
-std::string secs(double v) {
-  std::ostringstream ss;
-  ss.precision(9);
-  ss << v;
-  return ss.str();
-}
-
 void printLeagueText(std::ostream& os, const std::vector<NodeWaitRow>& league,
                      bool withTotals, const char* indent) {
   os << indent
@@ -301,33 +294,34 @@ void printLeagueText(std::ostream& os, const std::vector<NodeWaitRow>& league,
   os << "\n";
   for (const NodeWaitRow& r : league) {
     os << indent << r.node << "  " << r.stragglerOps << "  " << r.collectives
-       << "  " << secs(r.syncWait) << "  " << secs(r.aioStall) << "  "
-       << secs(r.aioDrain);
-    if (withTotals) os << "  " << secs(r.total);
+       << "  " << r.syncWait << "  " << r.aioStall << "  "
+       << r.aioDrain;
+    if (withTotals) os << "  " << r.total;
     os << "\n";
   }
 }
 
 void renderText(const std::vector<CellProfile>& cells,
                 const std::vector<BenchRunProfile>& runs,
-                const std::vector<TraceProfile>& traces, double maxOffPct) {
+                const std::vector<TraceProfile>& traces, double maxOffPct,
+                long violations) {
   for (const CellProfile& c : cells) {
     std::cout << "== " << c.table << " | " << c.method << " | segments "
               << c.segments << " | " << c.bytes << " bytes\n";
-    std::cout << "   total " << secs(c.totalSeconds) << " s; critical path: ";
+    std::cout << "   total " << c.totalSeconds << " s; critical path: ";
     if (c.criticalNode < 0) {
       std::cout << "(no per-node data)\n";
       continue;
     }
-    std::cout << "node " << c.criticalNode << " (" << secs(c.criticalTotal)
-              << " s), segment sum " << secs(c.segmentSum) << " s, off "
-              << secs(c.offPct) << "%"
+    std::cout << "node " << c.criticalNode << " (" << c.criticalTotal
+              << " s), segment sum " << c.segmentSum << " s, off "
+              << c.offPct << "%"
               << (c.violation ? "  ** EXCEEDS --max-off-pct **" : "") << "\n";
     for (const PhaseSegment& s : c.phases) {
       const double pct =
           c.criticalTotal > 0.0 ? 100.0 * s.seconds / c.criticalTotal : 0.0;
-      std::cout << "     " << s.name << "  " << secs(s.seconds) << " s  ("
-                << secs(pct) << "%)\n";
+      std::cout << "     " << s.name << "  " << s.seconds << " s  ("
+                << pct << "%)\n";
     }
     std::cout << "   straggler league:\n";
     printLeagueText(std::cout, c.league, /*withTotals=*/true, "     ");
@@ -346,92 +340,67 @@ void renderText(const std::vector<CellProfile>& cells,
               << t.collEdges << ", straggler marks " << t.stragglerMarks
               << "\n";
   }
-  int violations = 0;
-  for (const CellProfile& c : cells) {
-    if (c.violation) ++violations;
-  }
   if (violations > 0) {
     std::cout << violations
               << " critical-path decomposition(s) off by more than "
-              << secs(maxOffPct) << "%\n";
+              << maxOffPct << "%\n";
   }
 }
 
-void appendLeagueJson(std::ostringstream& ss,
-                      const std::vector<NodeWaitRow>& league) {
-  ss << "[";
-  for (size_t i = 0; i < league.size(); ++i) {
-    const NodeWaitRow& r = league[i];
-    ss << (i > 0 ? ", " : "") << "{\"node\": " << r.node
-       << ", \"straggler_ops\": " << r.stragglerOps
-       << ", \"collectives\": " << r.collectives
-       << ", \"sync_wait_seconds\": " << secs(r.syncWait)
-       << ", \"aio_stall_seconds\": " << secs(r.aioStall)
-       << ", \"aio_drain_seconds\": " << secs(r.aioDrain)
-       << ", \"total_seconds\": " << secs(r.total) << "}";
+void writeLeague(json::Writer& w, const std::vector<NodeWaitRow>& league) {
+  w.beginArray();
+  for (const NodeWaitRow& r : league) {
+    w.beginObject().member("node", r.node)
+        .member("straggler_ops", r.stragglerOps)
+        .member("collectives", r.collectives)
+        .member("sync_wait_seconds", r.syncWait)
+        .member("aio_stall_seconds", r.aioStall)
+        .member("aio_drain_seconds", r.aioDrain)
+        .member("total_seconds", r.total).endObject();
   }
-  ss << "]";
-}
-
-std::string escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
+  w.endArray();
 }
 
 void renderJson(const std::vector<CellProfile>& cells,
                 const std::vector<BenchRunProfile>& runs,
-                const std::vector<TraceProfile>& traces, double maxOffPct) {
-  std::ostringstream ss;
-  int violations = 0;
-  ss << "{\"schema\": \"pcxx-prof-v1\", \"max_off_pct\": " << secs(maxOffPct)
-     << ",\n \"cells\": [\n";
-  for (size_t i = 0; i < cells.size(); ++i) {
-    const CellProfile& c = cells[i];
-    if (c.violation) ++violations;
-    ss << "  {\"table\": \"" << escape(c.table) << "\", \"method\": \""
-       << escape(c.method) << "\", \"segments\": " << c.segments
-       << ", \"bytes\": " << c.bytes
-       << ", \"total_seconds\": " << secs(c.totalSeconds)
-       << ", \"critical_node\": " << c.criticalNode
-       << ", \"critical_total_seconds\": " << secs(c.criticalTotal)
-       << ", \"segment_sum_seconds\": " << secs(c.segmentSum)
-       << ", \"off_pct\": " << secs(c.offPct) << ", \"violation\": "
-       << (c.violation ? "true" : "false") << ",\n   \"phases\": {";
-    for (size_t j = 0; j < c.phases.size(); ++j) {
-      ss << (j > 0 ? ", " : "") << "\"" << escape(c.phases[j].name)
-         << "\": " << secs(c.phases[j].seconds);
-    }
-    ss << "},\n   \"straggler_league\": ";
-    appendLeagueJson(ss, c.league);
-    ss << "}" << (i + 1 < cells.size() ? "," : "") << "\n";
+                const std::vector<TraceProfile>& traces, double maxOffPct,
+                long violations) {
+  json::Writer w;
+  w.beginObject().member("schema", "pcxx-prof-v1")
+      .member("max_off_pct", maxOffPct).key("cells").beginArray();
+  for (const CellProfile& c : cells) {
+    w.beginObject().member("table", c.table).member("method", c.method)
+        .member("segments", c.segments).member("bytes", c.bytes)
+        .member("total_seconds", c.totalSeconds)
+        .member("critical_node", c.criticalNode)
+        .member("critical_total_seconds", c.criticalTotal)
+        .member("segment_sum_seconds", c.segmentSum)
+        .member("off_pct", c.offPct).member("violation", c.violation)
+        .key("phases").beginObject();
+    for (const PhaseSegment& p : c.phases) w.member(p.name, p.seconds);
+    w.endObject().key("straggler_league");
+    writeLeague(w, c.league);
+    w.endObject();
   }
-  ss << " ],\n \"bench_runs\": [\n";
-  for (size_t i = 0; i < runs.size(); ++i) {
-    ss << "  {\"file\": \"" << escape(runs[i].file) << "\", \"label\": \""
-       << escape(runs[i].label) << "\", \"straggler_league\": ";
-    appendLeagueJson(ss, runs[i].league);
-    ss << "}" << (i + 1 < runs.size() ? "," : "") << "\n";
+  w.endArray().key("bench_runs").beginArray();
+  for (const BenchRunProfile& r : runs) {
+    w.beginObject().member("file", r.file).member("label", r.label)
+        .key("straggler_league");
+    writeLeague(w, r.league);
+    w.endObject();
   }
-  ss << " ],\n \"traces\": [\n";
-  for (size_t i = 0; i < traces.size(); ++i) {
-    const TraceProfile& t = traces[i];
-    ss << "  {\"file\": \"" << escape(t.file) << "\", \"events\": " << t.events
-       << ", \"flow_chains\": " << t.flowChains
-       << ", \"flow_starts\": " << t.flowStarts
-       << ", \"flow_steps\": " << t.flowSteps
-       << ", \"flow_ends\": " << t.flowEnds
-       << ", \"unterminated_chains\": " << t.unterminated
-       << ", \"coll_spans\": " << t.collSpans
-       << ", \"coll_edges\": " << t.collEdges
-       << ", \"straggler_marks\": " << t.stragglerMarks << "}"
-       << (i + 1 < traces.size() ? "," : "") << "\n";
+  w.endArray().key("traces").beginArray();
+  for (const TraceProfile& t : traces) {
+    w.beginObject().member("file", t.file).member("events", t.events)
+        .member("flow_chains", t.flowChains)
+        .member("flow_starts", t.flowStarts)
+        .member("flow_steps", t.flowSteps).member("flow_ends", t.flowEnds)
+        .member("unterminated_chains", t.unterminated)
+        .member("coll_spans", t.collSpans).member("coll_edges", t.collEdges)
+        .member("straggler_marks", t.stragglerMarks).endObject();
   }
-  ss << " ],\n \"violations\": " << violations << "}\n";
-  std::cout << ss.str();
+  w.endArray().member("violations", violations).endObject();
+  std::cout << w.str();
 }
 
 }  // namespace
@@ -477,7 +446,7 @@ int main(int argc, char** argv) {
   std::vector<TraceProfile> traces;
   for (const std::string& path : opts.positional()) {
     try {
-      const prof::JsonValue doc = prof::parseJsonFile(path);
+      const json::Value doc = json::parseFile(path);
       const std::string schema =
           doc.isObject() ? doc.stringAt("schema") : std::string();
       if (schema == "pcxx-metrics-v1") {
@@ -497,13 +466,13 @@ int main(int argc, char** argv) {
     }
   }
 
+  const long violations =
+      std::count_if(cells.begin(), cells.end(),
+                    [](const CellProfile& c) { return c.violation; });
   if (format == "json") {
-    renderJson(cells, runs, traces, maxOffPct);
+    renderJson(cells, runs, traces, maxOffPct, violations);
   } else {
-    renderText(cells, runs, traces, maxOffPct);
+    renderText(cells, runs, traces, maxOffPct, violations);
   }
-  for (const CellProfile& c : cells) {
-    if (c.violation) return 3;
-  }
-  return 0;
+  return violations > 0 ? 3 : 0;
 }

@@ -1,9 +1,6 @@
 #include "scf/metrics_json.h"
 
-#include <fstream>
-#include <sstream>
-
-#include "util/error.h"
+#include "util/json.h"
 
 namespace pcxx::scf {
 
@@ -13,102 +10,49 @@ using obs::Counter;
 using obs::NodeSnapshot;
 using obs::Timer;
 
-std::string num(double v) {
-  std::ostringstream ss;
-  ss.precision(9);
-  ss << v;
-  return ss.str();
+void writePhases(json::Writer& w, const PhaseBreakdown& p) {
+  w.beginObject().member("insert_buffer_fill", p.insertBufferFill)
+      .member("header", p.header).member("redistribution", p.redistribution)
+      .member("pfs_read", p.pfsRead).member("pfs_write", p.pfsWrite)
+      .member("other", p.other).endObject();
 }
 
-std::string jsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
-void appendPhases(std::ostringstream& ss, const PhaseBreakdown& p) {
-  ss << "{\"insert_buffer_fill\": " << num(p.insertBufferFill)
-     << ", \"header\": " << num(p.header)
-     << ", \"redistribution\": " << num(p.redistribution)
-     << ", \"pfs_read\": " << num(p.pfsRead)
-     << ", \"pfs_write\": " << num(p.pfsWrite)
-     << ", \"other\": " << num(p.other) << "}";
-}
-
-void appendMethod(std::ostringstream& ss, const MethodMetrics& m,
-                  const std::string& indent) {
+void writeMethod(json::Writer& w, const MethodMetrics& m) {
   const NodeSnapshot& merged = m.snapshot.merged;
   double nodeSum = 0.0;
   for (double s : m.nodeSeconds) nodeSum += s;
 
-  ss << indent << "{\n";
-  ss << indent << "  \"method\": \"" << jsonEscape(m.method) << "\",\n";
-  ss << indent << "  \"total_seconds\": " << num(m.totalSeconds) << ",\n";
-  ss << indent << "  \"node_seconds_sum\": " << num(nodeSum) << ",\n";
-  ss << indent << "  \"phases\": ";
-  appendPhases(ss, phaseBreakdown(merged, nodeSum));
-  ss << ",\n";
-  ss << indent << "  \"redistribution\": {\"bytes_sent\": "
-     << merged.counter(Counter::RedistBytesSent)
-     << ", \"messages\": " << merged.counter(Counter::RedistMessagesSent)
-     << ", \"elements_moved\": "
-     << merged.counter(Counter::RedistElementsMoved)
-     << ", \"wait_seconds\": "
-     << num(merged.timer(Timer::RedistWaitSeconds)) << "},\n";
-  ss << indent << "  \"counters\": {";
-  bool first = true;
-  for (int c = 0; c < obs::kNumCounters; ++c) {
-    const std::uint64_t v = merged.counters[static_cast<size_t>(c)];
-    if (v == 0) continue;
-    ss << (first ? "" : ", ") << "\""
-       << obs::counterName(static_cast<Counter>(c)) << "\": " << v;
-    first = false;
-  }
-  ss << "},\n";
-  ss << indent << "  \"seconds\": {";
-  first = true;
-  for (int t = 0; t < obs::kNumTimers; ++t) {
-    const double v = merged.seconds[static_cast<size_t>(t)];
-    if (v == 0.0) continue;
-    ss << (first ? "" : ", ") << "\""
-       << obs::timerName(static_cast<Timer>(t)) << "\": " << num(v);
-    first = false;
-  }
-  ss << "},\n";
-  ss << indent << "  \"per_node\": [\n";
+  w.beginObject().member("method", m.method)
+      .member("total_seconds", m.totalSeconds)
+      .member("node_seconds_sum", nodeSum).key("phases");
+  writePhases(w, phaseBreakdown(merged, nodeSum));
+  w.key("redistribution").beginObject()
+      .member("bytes_sent", merged.counter(Counter::RedistBytesSent))
+      .member("messages", merged.counter(Counter::RedistMessagesSent))
+      .member("elements_moved", merged.counter(Counter::RedistElementsMoved))
+      .member("wait_seconds", merged.timer(Timer::RedistWaitSeconds))
+      .endObject();
+  obs::writeCountersAndSeconds(w, merged);
+  w.key("per_node").beginArray();
   for (size_t i = 0; i < m.snapshot.perNode.size(); ++i) {
     const double nodeTotal =
         i < m.nodeSeconds.size() ? m.nodeSeconds[i] : 0.0;
     const NodeSnapshot& ns = m.snapshot.perNode[i];
-    ss << indent << "    {\"node\": " << i
-       << ", \"total_seconds\": " << num(nodeTotal) << ", \"phases\": ";
-    appendPhases(ss, phaseBreakdown(ns, nodeTotal));
+    w.beginObject().member("node", i).member("total_seconds", nodeTotal)
+        .key("phases");
+    writePhases(w, phaseBreakdown(ns, nodeTotal));
     // Runtime wait attribution per node: how long this node sat in
     // collectives, how often it was the one everyone waited for, and its
     // local aio pipeline stalls — the inputs to pcxx-prof's straggler
     // league table.
-    ss << ", \"sync_wait_seconds\": "
-       << num(ns.timer(Timer::RtSyncWaitSeconds))
-       << ", \"straggler_ops\": "
-       << ns.counter(Counter::RtCollStragglerOps)
-       << ", \"collectives\": " << ns.counter(Counter::RtCollectives)
-       << ", \"aio_stall_seconds\": " << num(ns.timer(Timer::AioStallSeconds))
-       << ", \"aio_drain_seconds\": "
-       << num(ns.timer(Timer::AioDrainSeconds));
-    ss << "}" << (i + 1 < m.snapshot.perNode.size() ? "," : "") << "\n";
+    w.member("sync_wait_seconds", ns.timer(Timer::RtSyncWaitSeconds))
+        .member("straggler_ops", ns.counter(Counter::RtCollStragglerOps))
+        .member("collectives", ns.counter(Counter::RtCollectives))
+        .member("aio_stall_seconds", ns.timer(Timer::AioStallSeconds))
+        .member("aio_drain_seconds", ns.timer(Timer::AioDrainSeconds))
+        .endObject();
   }
-  ss << indent << "  ]\n";
-  ss << indent << "}";
+  w.endArray().endObject();
 }
 
 }  // namespace
@@ -126,48 +70,30 @@ PhaseBreakdown phaseBreakdown(const NodeSnapshot& s, double totalSeconds) {
 }
 
 std::string metricsReportJson(const std::vector<BenchTableResult>& tables) {
-  std::ostringstream ss;
-  ss << "{\n  \"schema\": \"pcxx-metrics-v1\",\n  \"tables\": [\n";
-  for (size_t t = 0; t < tables.size(); ++t) {
-    const BenchTableResult& table = tables[t];
-    ss << "    {\n";
-    ss << "      \"title\": \"" << jsonEscape(table.config.title) << "\",\n";
-    ss << "      \"platform\": \"" << jsonEscape(table.config.platform)
-       << "\",\n";
-    ss << "      \"nprocs\": " << table.config.nprocs << ",\n";
-    ss << "      \"sorted_read\": "
-       << (table.config.sortedRead ? "true" : "false") << ",\n";
-    ss << "      \"cells\": [\n";
-    for (size_t c = 0; c < table.cells.size(); ++c) {
-      const CellResult& cell = table.cells[c];
-      ss << "        {\n";
-      ss << "          \"segments\": " << cell.segments << ",\n";
-      ss << "          \"bytes\": " << cell.bytes << ",\n";
-      ss << "          \"methods\": [\n";
-      for (size_t m = 0; m < cell.metrics.size(); ++m) {
-        appendMethod(ss, cell.metrics[m], "            ");
-        ss << (m + 1 < cell.metrics.size() ? "," : "") << "\n";
-      }
-      ss << "          ]\n";
-      ss << "        }" << (c + 1 < table.cells.size() ? "," : "") << "\n";
+  json::Writer w;
+  w.beginObject().member("schema", "pcxx-metrics-v1").key("tables")
+      .beginArray();
+  for (const BenchTableResult& table : tables) {
+    w.beginObject().member("title", table.config.title)
+        .member("platform", table.config.platform)
+        .member("nprocs", table.config.nprocs)
+        .member("sorted_read", table.config.sortedRead).key("cells")
+        .beginArray();
+    for (const CellResult& cell : table.cells) {
+      w.beginObject().member("segments", cell.segments)
+          .member("bytes", cell.bytes).key("methods").beginArray();
+      for (const MethodMetrics& m : cell.metrics) writeMethod(w, m);
+      w.endArray().endObject();
     }
-    ss << "      ]\n";
-    ss << "    }" << (t + 1 < tables.size() ? "," : "") << "\n";
+    w.endArray().endObject();
   }
-  ss << "  ]\n}\n";
-  return ss.str();
+  w.endArray().endObject();
+  return w.str();
 }
 
 void writeMetricsJson(const std::string& path,
                       const std::vector<BenchTableResult>& tables) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    throw IoError("cannot open metrics output file: " + path);
-  }
-  out << metricsReportJson(tables);
-  if (!out) {
-    throw IoError("failed writing metrics output file: " + path);
-  }
+  json::writeFile(path, metricsReportJson(tables));
 }
 
 }  // namespace pcxx::scf

@@ -45,10 +45,10 @@ TEST(DiagnosticsTest, JsonEscapesAndCounts) {
   DiagnosticEngine d;
   d.warning("DS107", "a\"b.cpp", 1, 2, "path with \"quotes\"\nand newline");
   const std::string json = d.renderJson();
-  EXPECT_NE(json.find("\"count\":1"), std::string::npos);
+  EXPECT_NE(json.find("\"count\": 1"), std::string::npos);
   EXPECT_NE(json.find("a\\\"b.cpp"), std::string::npos);
   EXPECT_NE(json.find("\\n"), std::string::npos);
-  EXPECT_NE(json.find("\"severity\":\"warning\""), std::string::npos);
+  EXPECT_NE(json.find("\"severity\": \"warning\""), std::string::npos);
 }
 
 TEST(DiagnosticsTest, DuplicateAddsAreDroppedAtInsertion) {
@@ -81,16 +81,16 @@ TEST(DiagnosticsTest, SarifCarriesRulesResultsAndRegions) {
   d.error("DS104", "src/a.cpp", 9, 3, "double close of d/stream \"out\"");
   d.warning("DS107", "src/b.cpp", 2, 1, "never wrote");
   const std::string sarif = d.renderSarif();
-  EXPECT_NE(sarif.find("\"version\":\"2.1.0\""), std::string::npos);
-  EXPECT_NE(sarif.find("\"name\":\"dslint\""), std::string::npos);
-  EXPECT_NE(sarif.find("\"ruleId\":\"DS104\""), std::string::npos);
-  EXPECT_NE(sarif.find("\"level\":\"warning\""), std::string::npos);
-  EXPECT_NE(sarif.find("\"startLine\":9"), std::string::npos);
-  EXPECT_NE(sarif.find("\"startColumn\":3"), std::string::npos);
+  EXPECT_NE(sarif.find("\"version\": \"2.1.0\""), std::string::npos);
+  EXPECT_NE(sarif.find("\"name\": \"dslint\""), std::string::npos);
+  EXPECT_NE(sarif.find("\"ruleId\": \"DS104\""), std::string::npos);
+  EXPECT_NE(sarif.find("\"level\": \"warning\""), std::string::npos);
+  EXPECT_NE(sarif.find("\"startLine\": 9"), std::string::npos);
+  EXPECT_NE(sarif.find("\"startColumn\": 3"), std::string::npos);
   EXPECT_NE(sarif.find("\\\"out\\\""), std::string::npos);  // escaping
   // Every catalogued rule appears in the driver's rule list.
   for (const auto& r : pcxx::dslint::ruleCatalog()) {
-    EXPECT_NE(sarif.find("\"id\":\"" + std::string(r.id) + "\""),
+    EXPECT_NE(sarif.find("\"id\": \"" + std::string(r.id) + "\""),
               std::string::npos)
         << r.id;
   }

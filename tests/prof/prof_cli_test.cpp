@@ -184,4 +184,41 @@ TEST_F(ProfCli, RejectsForeignAndMalformedInputs) {
   EXPECT_EQ(runTool("--format=yaml " + foreign).first, 2);
 }
 
+TEST_F(ProfCli, ControlCharactersInAPathStayValidJson) {
+  const std::string trace = write("a\tb.json", R"({"traceEvents": []})");
+  const auto [rc, out] = runTool("--format=json '" + trace + "'");
+  EXPECT_EQ(rc, 0) << out;
+  EXPECT_TRUE(pcxx::test::JsonChecker::valid(out)) << out;
+  EXPECT_NE(out.find("a\\tb.json"), std::string::npos) << out;
+}
+
+TEST_F(ProfCli, DeepNestingIsAFormatErrorNotACrash) {
+  const std::string deep = write("deep.json", std::string(200000, '['));
+  const auto [rc, out] = runTool(deep);
+  EXPECT_EQ(rc, 2) << out;
+  EXPECT_NE(out.find("nesting deeper than"), std::string::npos) << out;
+}
+
+TEST_F(ProfCli, UnicodeEscapesInInputsAreDecoded) {
+  const std::string bench = write("bench.json", R"({
+    "schema": "pcxx-bench-metrics-v1", "runs": [
+      {"label": "\u00e9t\u00e9 \ud83d\ude00", "metrics": {"per_node": []}}]})");
+  const auto [rc, out] = runTool("--format=json " + bench);
+  EXPECT_EQ(rc, 0) << out;
+  EXPECT_NE(out.find("\"label\": \"\xc3\xa9t\xc3\xa9 \xf0\x9f\x98\x80\""),
+            std::string::npos)
+      << out;
+}
+
+TEST_F(ProfCli, NonFiniteInputNumbersAreWrittenAsNull) {
+  const std::string report = write("inf.json", R"({
+    "schema": "pcxx-metrics-v1", "tables": [{"title": "t", "cells": [
+      {"segments": 1, "bytes": 1, "methods": [
+        {"method": "m", "total_seconds": 1e999, "per_node": []}]}]}]})");
+  const auto [rc, out] = runTool("--format=json " + report);
+  EXPECT_EQ(rc, 0) << out;
+  EXPECT_TRUE(pcxx::test::JsonChecker::valid(out)) << out;
+  EXPECT_NE(out.find("\"total_seconds\": null"), std::string::npos) << out;
+}
+
 }  // namespace
