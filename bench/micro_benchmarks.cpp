@@ -109,6 +109,33 @@ void BM_Alltoallv(benchmark::State& state) {
 }
 BENCHMARK(BM_Alltoallv)->Arg(2)->Arg(8)->UseRealTime();
 
+/// Node-order writes of 2.8 MB per node to a memory file, the size of an
+/// scf_checkpoint record block: per iteration the file is truncated (it
+/// keeps its memory, as the e2e workloads' files do) and four records are
+/// appended. Wall time covers the copies and the collective's rendezvous.
+void BM_WriteOrdered(benchmark::State& state) {
+  const int nprocs = static_cast<int>(state.range(0));
+  constexpr int kRecords = 4;
+  const ByteBuffer block = randomBytes(2800 * 1000);
+  rt::Machine machine(nprocs);
+  pfs::Pfs fs{pfs::PfsConfig{}};
+  machine.run([&](rt::Node& node) {
+    fs.open(node, "bm_ordered", pfs::OpenMode::Create);
+  });
+  for (auto _ : state) {
+    machine.run([&](rt::Node& node) {
+      auto f = fs.open(node, "bm_ordered", pfs::OpenMode::Read);
+      if (node.id() == 0) fs.truncateFile("bm_ordered", 0);
+      f->seekShared(node, 0);
+      for (int r = 0; r < kRecords; ++r) f->writeOrdered(node, block);
+    });
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          kRecords * nprocs *
+                          static_cast<int64_t>(block.size()));
+}
+BENCHMARK(BM_WriteOrdered)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
+
 /// The full d/stream output+input path on the host (memory backend, no
 /// timing model): measures the library's real CPU cost per element.
 void BM_StreamRoundtrip(benchmark::State& state) {

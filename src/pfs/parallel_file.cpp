@@ -449,6 +449,19 @@ std::uint64_t ParallelFile::writeOrdered(rt::Node& node,
     total += sizes[static_cast<size_t>(i)];
     maxNode = std::max(maxNode, sizes[static_cast<size_t>(i)]);
   }
+  // The node blocks tile [base, base + total): make room for all of them
+  // once, so each node copies its own in parallel with its peers.
+  if (total > 0 && storage_->reserveForWrite(base, base + total)) {
+    // A reserved block stops short only when a fault hook cuts it off. Its
+    // unwritten rest may then lie below a peer's bytes, so under a hook
+    // each node zeroes its block before it writes it.
+    bool hooked = false;
+    {
+      std::lock_guard<std::mutex> lock(fs_->hookMu_);
+      hooked = static_cast<bool>(fs_->faultHook_);
+    }
+    if (hooked) storage_->zeroUnwritten(myOffset, myBlock.size());
+  }
   const CodecThreadStats codecBefore = codecThreadStats();
   const std::uint64_t index = performWrite(node, myOffset, myBlock);
   foldCodecObs(node, codecBefore);

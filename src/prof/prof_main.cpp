@@ -130,7 +130,7 @@ void profileMetricsV1(const json::Value& doc, double maxOffPct,
         CellProfile p;
         p.table = title;
         p.method = method.stringAt("method", "(unnamed)");
-        p.segments = static_cast<std::int64_t>(cell.numberAt("segments"));
+        p.segments = cell.intAt<std::int64_t>("segments");
         p.bytes = cell.countAt("bytes");
         p.totalSeconds = method.numberAt("total_seconds");
 
@@ -138,7 +138,7 @@ void profileMetricsV1(const json::Value& doc, double maxOffPct,
         if (perNode != nullptr && perNode->isArray()) {
           for (const json::Value& n : perNode->items) {
             NodeWaitRow row;
-            row.node = static_cast<int>(n.numberAt("node"));
+            row.node = n.intAt<int>("node");
             row.total = n.numberAt("total_seconds");
             row.syncWait = n.numberAt("sync_wait_seconds");
             row.stragglerOps = n.countAt("straggler_ops");
@@ -155,7 +155,7 @@ void profileMetricsV1(const json::Value& doc, double maxOffPct,
           // phase breakdown, not the merged one, so the segments explain
           // what the bench total was actually spent on.
           for (const json::Value& n : perNode->items) {
-            if (static_cast<int>(n.numberAt("node")) != p.criticalNode) {
+            if (n.intAt<int>("node") != p.criticalNode) {
               continue;
             }
             const json::Value* phases = n.find("phases");

@@ -4,9 +4,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "util/error.h"
+#include "util/strfmt.h"
 
 namespace pcxx::json {
 
@@ -164,6 +166,27 @@ std::uint64_t Value::countAt(const std::string& key,
   }
   return static_cast<std::uint64_t>(v->number);
 }
+
+template <std::signed_integral T>
+T Value::intAt(const std::string& key, T def) const {
+  const Value* v = find(key);
+  if (v == nullptr) return def;
+  constexpr T lo = std::numeric_limits<T>::min();
+  constexpr T hi = std::numeric_limits<T>::max();
+  // Both bounds convert to double exactly except INT64_MAX, which rounds up
+  // to 2^63; hi + 1.0 is then still the first value out of range.
+  const double x = v->number;
+  if (v->kind != Kind::Number || x != std::trunc(x) ||
+      !(x >= static_cast<double>(lo) && x < static_cast<double>(hi) + 1.0)) {
+    throw FormatError(strfmt(
+        "member \"%s\" is not an integer in [%lld, %lld]", key.c_str(),
+        static_cast<long long>(lo), static_cast<long long>(hi)));
+  }
+  return static_cast<T>(x);
+}
+template int Value::intAt<int>(const std::string&, int) const;
+template std::int64_t Value::intAt<std::int64_t>(const std::string&,
+                                                 std::int64_t) const;
 
 std::string Value::stringAt(const std::string& key,
                             const std::string& def) const {

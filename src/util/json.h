@@ -113,6 +113,13 @@ struct Value {
   std::uint64_t countAt(const std::string& key, std::uint64_t def = 0) const;
   std::string stringAt(const std::string& key,
                        const std::string& def = {}) const;
+
+  /// Member value as a T, or `def` when the member is absent. A member
+  /// that is not a number, has a fraction or lies outside T's range
+  /// throws pcxx::FormatError.
+  /// Defined for int and std::int64_t.
+  template <std::signed_integral T>
+  T intAt(const std::string& key, T def = 0) const;
 };
 
 /// Parse a complete JSON document. Throws pcxx::FormatError (with byte

@@ -4,6 +4,7 @@
 
 #include <filesystem>
 
+#include "src/pfs/fault_plan.h"
 #include "src/pfs/parallel_file.h"
 #include "src/runtime/machine.h"
 #include "src/util/error.h"
@@ -252,6 +253,71 @@ TEST(ParallelFile, PosixBackendWritesRealFiles) {
   });
   EXPECT_EQ(std::filesystem::file_size(dir / "real.bin"), 12u);
   std::filesystem::remove_all(dir);
+}
+
+// A 4-node writeOrdered in which node 2 applies only its first 100 bytes
+// and then gives up or crashes (FaultPlan `shape`@2:100, with the op index
+// renumbered to the node id) while node 3 completes. The file first held
+// other bytes and was truncated, so the memory it kept is stale: node 2's
+// unwritten rest must still read as zeros, and size() is node 3's end.
+void collectiveWithNode2Faulted(const std::string& shape, bool expectCrash) {
+  constexpr std::uint64_t kBlock = 4096;
+  constexpr std::uint64_t kApplied = 100;
+  Pfs fs{PfsConfig{}};
+  rt::Machine m(4);
+  m.run([&](rt::Node& node) {
+    // Unframed under any PCXX_CODEC: the holes are the memory store's.
+    auto f = fs.open(node, "holes", OpenMode::Create, CodecSpec{});
+    f->writeOrdered(node, ByteBuffer(kBlock, 0xAA));
+    node.barrier();
+    if (node.id() == 0) fs.truncateFile("holes", 0);
+    f->seekShared(node, 0);
+  });
+  FaultPlan plan = FaultPlan::parse(shape + "@2:" + std::to_string(kApplied));
+  fs.setFaultHook([&plan](const OpContext& op) {
+    OpContext byNode = op;
+    byNode.opIndex = static_cast<std::uint64_t>(op.nodeId);
+    plan.apply(byNode);
+  });
+  const auto faulted = [&] {
+    m.run([&](rt::Node& node) {
+      auto f = fs.open(node, "holes", OpenMode::Read);
+      f->writeOrdered(node,
+                      ByteBuffer(kBlock, static_cast<Byte>(node.id() + 1)));
+    });
+  };
+  if (expectCrash) {
+    EXPECT_THROW(faulted(), CrashInjected);
+  } else {
+    EXPECT_THROW(faulted(), IoError);
+  }
+  fs.setFaultHook(nullptr);
+  EXPECT_EQ(plan.firedCount(), 1u);
+
+  EXPECT_EQ(fs.storedFileSize("holes"), 4 * kBlock);
+  m.run([&](rt::Node& node) {
+    auto f = fs.open(node, "holes", OpenMode::Read);
+    if (node.id() != 0) return;
+    EXPECT_EQ(f->size(), 4 * kBlock);
+    ByteBuffer all(4 * kBlock);
+    EXPECT_EQ(f->readAt(node, 0, all), 4 * kBlock);
+    std::uint64_t wrong = 0;
+    for (std::uint64_t i = 0; i < all.size(); ++i) {
+      const std::uint64_t owner = i / kBlock;
+      Byte want = static_cast<Byte>(owner + 1);
+      if (owner == 2 && i % kBlock >= kApplied) want = 0;
+      wrong += all[i] != want;
+    }
+    EXPECT_EQ(wrong, 0u);
+  });
+}
+
+TEST(ParallelFile, GivenUpBlockReadsAsZerosBelowAPeersBytes) {
+  collectiveWithNode2Faulted("short", /*expectCrash=*/false);
+}
+
+TEST(ParallelFile, CrashedBlockReadsAsZerosBelowAPeersBytes) {
+  collectiveWithNode2Faulted("crash", /*expectCrash=*/true);
 }
 
 TEST(ParallelFile, OpCountTracksStorageAccesses) {

@@ -11,6 +11,7 @@
 #include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "tests/common/json_check.h"
 
@@ -208,6 +209,34 @@ TEST_F(ProfCli, UnicodeEscapesInInputsAreDecoded) {
   EXPECT_NE(out.find("\"label\": \"\xc3\xa9t\xc3\xa9 \xf0\x9f\x98\x80\""),
             std::string::npos)
       << out;
+}
+
+// "node" and "segments" are integers: a value no int holds, or a fraction,
+// is a format error (exit 2), never a wrapped number in the report.
+TEST_F(ProfCli, NonIntegralNodeOrSegmentsIsAFormatError) {
+  const auto report = [&](const std::string& segments,
+                          const std::string& node) {
+    return write("ints.json", R"({
+      "schema": "pcxx-metrics-v1", "tables": [{"title": "t", "cells": [
+        {"segments": )" + segments + R"(, "bytes": 1, "methods": [
+          {"method": "m", "total_seconds": 1.0, "per_node": [
+            {"node": )" + node + R"(, "total_seconds": 1.0,
+             "phases": {"io": 1.0}}]}]}]}]})");
+  };
+  for (const auto& [segments, node] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"1e300", "0"}, {"1", "1e300"}, {"1", "2.5"}, {"0.5", "0"},
+           {"1", "-3000000000"}, {"1", "\"zero\""}}) {
+    const auto [rc, out] = runTool("--format=json " + report(segments, node));
+    EXPECT_EQ(rc, 2) << "segments " << segments << ", node " << node << ": "
+                     << out;
+    EXPECT_EQ(out.find("critical_node"), std::string::npos) << out;
+    EXPECT_NE(out.find("is not an integer"), std::string::npos) << out;
+  }
+  const auto [rc, out] = runTool("--format=json " + report("12", "3"));
+  EXPECT_EQ(rc, 0) << out;
+  EXPECT_NE(out.find("\"critical_node\": 3"), std::string::npos) << out;
+  EXPECT_NE(out.find("\"segments\": 12"), std::string::npos) << out;
 }
 
 TEST_F(ProfCli, NonFiniteInputNumbersAreWrittenAsNull) {

@@ -184,6 +184,20 @@ TEST(JsonReader, ReadsALargeOutOfRangeNumberAsInfinity) {
   EXPECT_EQ(big.countAt("m", 7), 7u);
 }
 
+TEST(JsonReader, IntAtChecksIntegralityAndTheTargetRange) {
+  const Value v = pcxx::json::parse(
+      R"({"i": -2147483648, "big": 9007199254740992, "half": 2.5,)"
+      R"( "huge": 1e300, "edge": 9223372036854775808, "s": "1"})");
+  EXPECT_EQ(v.intAt<int>("i"), std::numeric_limits<int>::min());
+  EXPECT_EQ(v.intAt<int>("absent", 7), 7);
+  EXPECT_EQ(v.intAt<std::int64_t>("big"), std::int64_t{1} << 53);
+  EXPECT_THROW(v.intAt<int>("big"), pcxx::FormatError);
+  EXPECT_THROW(v.intAt<int>("half"), pcxx::FormatError);
+  EXPECT_THROW(v.intAt<std::int64_t>("huge"), pcxx::FormatError);
+  EXPECT_THROW(v.intAt<std::int64_t>("edge"), pcxx::FormatError);  // 2^63
+  EXPECT_THROW(v.intAt<int>("s"), pcxx::FormatError);
+}
+
 TEST(JsonReader, NestingIsBoundedByKMaxDepth) {
   const int max = pcxx::json::kMaxDepth;
   const std::string ok =
