@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# CI driver: build + test the repository in one of three configurations.
+# CI driver: build + test the repository in one of nine configurations,
+# or all of them.
 #
 #   ci/run_ci.sh default     plain RelWithDebInfo build
 #   ci/run_ci.sh asan        AddressSanitizer + UBSan (PCXX_SANITIZE=ON)

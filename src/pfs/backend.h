@@ -50,7 +50,7 @@ class StorageBackend {
   /// its peers. Every node calls this first, with the same range. It makes
   /// room up to `end` without zero-filling it and leaves size() alone: size()
   /// stays the highest byte actually written. Returns whether it reserved:
-  /// only then must a node zeroUnwritten() a block that may stop short. The
+  /// only then must a node whose block fails zeroUnwritten() its rest. The
   /// default reserves nothing: a file grows on write and reads its holes as
   /// zeros.
   virtual bool reserveForWrite(std::uint64_t begin, std::uint64_t end) {
@@ -60,8 +60,9 @@ class StorageBackend {
   }
 
   /// Zero [offset, offset + len) of the reserved range without changing
-  /// size(): a block whose node gives up or crashes keeps zeros where it
-  /// was not written, which a peer's later bytes may put below size().
+  /// size(). Called on failure: a node whose block gives up or crashes
+  /// zeroes the part it did not write, which a peer's bytes may put below
+  /// size().
   virtual void zeroUnwritten(std::uint64_t offset, std::uint64_t len) {
     (void)offset;
     (void)len;

@@ -12,38 +12,91 @@
 namespace pcxx::pfs {
 namespace {
 
-// The chunk codec runs below the storage ops on whatever thread issues
-// them and accounts into thread-local counters; these helpers fold the
-// delta accumulated by one op into the issuing node's metrics (sync paths)
-// or the pipeline's BgIoStats (pcxx::aio threads), preserving the
-// owner-write discipline of both sinks.
-void foldCodecObs(rt::Node& node, const CodecThreadStats& before) {
-  const CodecThreadStats& now = codecThreadStats();
-  if (now.rawBytes != before.rawBytes)
-    PCXX_OBS_COUNT(node.obs(), PfsCodecRawBytes, now.rawBytes - before.rawBytes);
-  if (now.storedBytes != before.storedBytes)
-    PCXX_OBS_COUNT(node.obs(), PfsCodecStoredBytes,
-                   now.storedBytes - before.storedBytes);
-  if (now.dedupHits != before.dedupHits)
-    PCXX_OBS_COUNT(node.obs(), PfsCodecDedupHits,
-                   now.dedupHits - before.dedupHits);
-  if (now.damagedChunks != before.damagedChunks)
-    PCXX_OBS_COUNT(node.obs(), PfsCodecDamagedChunks,
-                   now.damagedChunks - before.damagedChunks);
-  if (now.seconds != before.seconds)
-    PCXX_OBS_SECONDS(node.obs(), PfsCodecSeconds, now.seconds - before.seconds);
-  (void)node;
-  (void)before;
-  (void)now;
-}
+// Where one storage op's retries are charged. The chunk codec runs below
+// the op on whatever thread issues it and accounts into thread-local
+// counters; a charge also folds the delta one op accumulated into its sink,
+// preserving the owner-write discipline of both sinks.
+//
+// A node thread charges its backoff to the node's VirtualClock and its
+// retries and codec work to the node's metrics.
+struct NodeCharge {
+  static constexpr const char* kLabel = "";
+  rt::Node& node;
 
-void foldCodecBg(BgIoStats& stats, const CodecThreadStats& before) {
-  const CodecThreadStats& now = codecThreadStats();
-  stats.codecRawBytes += now.rawBytes - before.rawBytes;
-  stats.codecStoredBytes += now.storedBytes - before.storedBytes;
-  stats.codecDedupHits += now.dedupHits - before.dedupHits;
-  stats.codecDamagedChunks += now.damagedChunks - before.damagedChunks;
-  stats.codecSeconds += now.seconds - before.seconds;
+  int nodeId() const { return node.id(); }
+  double elapsed() const { return node.clock().now(); }
+  void backOff(double seconds) {
+    node.clock().advance(seconds);
+    PCXX_OBS_COUNT(node.obs(), PfsRetries, 1);
+    PCXX_OBS_SECONDS(node.obs(), PfsBackoffSeconds, seconds);
+  }
+  void giveUp() { PCXX_OBS_COUNT(node.obs(), PfsGiveUps, 1); }
+  void foldCodec(const CodecThreadStats& before) {
+    const CodecThreadStats& now = codecThreadStats();
+    if (now.rawBytes != before.rawBytes)
+      PCXX_OBS_COUNT(node.obs(), PfsCodecRawBytes,
+                     now.rawBytes - before.rawBytes);
+    if (now.storedBytes != before.storedBytes)
+      PCXX_OBS_COUNT(node.obs(), PfsCodecStoredBytes,
+                     now.storedBytes - before.storedBytes);
+    if (now.dedupHits != before.dedupHits)
+      PCXX_OBS_COUNT(node.obs(), PfsCodecDedupHits,
+                     now.dedupHits - before.dedupHits);
+    if (now.damagedChunks != before.damagedChunks)
+      PCXX_OBS_COUNT(node.obs(), PfsCodecDamagedChunks,
+                     now.damagedChunks - before.damagedChunks);
+    if (now.seconds != before.seconds)
+      PCXX_OBS_SECONDS(node.obs(), PfsCodecSeconds,
+                       now.seconds - before.seconds);
+    (void)before;
+    (void)now;
+  }
+};
+
+// A pcxx::aio thread owns no clock: it charges the pipeline's BgIoStats,
+// whose backoff total doubles as the per-op deadline clock.
+struct BgCharge {
+  static constexpr const char* kLabel = "background ";
+  int id;
+  BgIoStats& stats;
+
+  int nodeId() const { return id; }
+  double elapsed() const { return stats.backoffSeconds; }
+  void backOff(double seconds) {
+    stats.retries += 1;
+    stats.backoffSeconds += seconds;
+  }
+  void giveUp() { stats.giveUps += 1; }
+  void foldCodec(const CodecThreadStats& before) {
+    const CodecThreadStats& now = codecThreadStats();
+    stats.codecRawBytes += now.rawBytes - before.rawBytes;
+    stats.codecStoredBytes += now.storedBytes - before.storedBytes;
+    stats.codecDedupHits += now.dedupHits - before.dedupHits;
+    stats.codecDamagedChunks += now.damagedChunks - before.damagedChunks;
+    stats.codecSeconds += now.seconds - before.seconds;
+  }
+};
+
+// Where a node-order transfer puts the node blocks: in node order from the
+// shared cursor. Collective: one allgather of the block sizes.
+struct Placement {
+  std::uint64_t base = 0;     ///< the shared cursor the blocks start at
+  std::uint64_t mine = 0;     ///< this node's block offset
+  std::uint64_t total = 0;    ///< all blocks combined
+  std::uint64_t largest = 0;  ///< the largest block
+  bool overflow = false;      ///< the block sizes overflow their sum
+};
+
+Placement place(rt::Node& node, std::uint64_t base, std::uint64_t myBytes) {
+  Placement p{base, base};
+  const auto sizes = node.allgatherU64(myBytes);
+  for (int i = 0; i < node.nprocs(); ++i) {
+    const std::uint64_t sz = sizes[static_cast<size_t>(i)];
+    if (i < node.id()) p.mine += sz;
+    p.overflow |= __builtin_add_overflow(p.total, sz, &p.total);
+    p.largest = std::max(p.largest, sz);
+  }
+  return p;
 }
 
 }  // namespace
@@ -80,289 +133,110 @@ ParallelFile::ParallelFile(Pfs* fs, std::string fsName,
                            std::shared_ptr<StorageBackend> storage)
     : fs_(fs), name_(std::move(fsName)), storage_(std::move(storage)) {}
 
-std::uint64_t ParallelFile::performWrite(rt::Node& node, std::uint64_t offset,
-                                         std::span<const Byte> data) {
+template <class Charge>
+std::uint64_t ParallelFile::transfer(Charge charge, OpKind kind,
+                                     std::uint64_t offset,
+                                     std::span<const Byte> in,
+                                     std::span<Byte> out,
+                                     std::uint64_t& done) {
+  const bool write = kind == OpKind::Write;
+  const std::uint64_t len = write ? in.size() : out.size();
+  const char* const what = write ? "write" : "read";
   const RetryPolicy rp = fs_->retryPolicy();
-  const double start = node.clock().now();
-  std::uint64_t done = 0;
-  std::uint64_t lastIndex = 0;
-  std::exception_ptr lastError;
+  const CodecThreadStats codecBefore = codecThreadStats();
+  const double start = charge.elapsed();
   for (int attempt = 1;; ++attempt) {
-    const std::uint64_t want = data.size() - done;
+    const std::uint64_t want = len - done;
     const std::uint64_t index = fs_->opCounter_.fetch_add(1);
-    lastIndex = index;
     FaultHook hook;
     {
       std::lock_guard<std::mutex> lock(fs_->hookMu_);
       hook = fs_->faultHook_;
     }
     OpOutcome outcome{want, false};
-    bool failed = false;
+    std::exception_ptr error;
     if (hook) {
-      OpContext ctx{name_, OpKind::Write, offset + done, want, node.id(),
-                    index};
+      OpContext ctx{name_, kind, offset + done, want, charge.nodeId(), index};
       ctx.outcome = &outcome;
       try {
         hook(ctx);
       } catch (const CrashInjected&) {
         throw;  // fatal by contract; nothing of this attempt was applied
       } catch (const IoError&) {
-        failed = true;
-        lastError = std::current_exception();
+        error = std::current_exception();
       }
     }
-    if (!failed) {
-      const std::uint64_t granted = std::min(outcome.completeBytes, want);
-      if (granted > 0) {
-        storage_->writeAt(offset + done,
-                          data.subspan(static_cast<size_t>(done),
-                                       static_cast<size_t>(granted)));
-        done += granted;
-      }
-      if (outcome.crash) {
-        throw CrashInjected(strfmt(
-            "write on '%s' at op %llu: %llu of %llu bytes durable",
-            name_.c_str(), static_cast<unsigned long long>(index),
-            static_cast<unsigned long long>(done),
-            static_cast<unsigned long long>(data.size())));
-      }
-      if (done == data.size()) return lastIndex;
-      lastError = nullptr;  // short completion, not an exception
-    }
-    // Transient failure or short completion: retry if the policy allows;
-    // a retry resumes from the completed prefix.
-    if (attempt >= rp.maxAttempts ||
-        node.clock().now() - start >= rp.opDeadlineSeconds) {
-      PCXX_OBS_COUNT(node.obs(), PfsGiveUps, 1);
-      if (lastError) std::rethrow_exception(lastError);
-      throw IoError(strfmt(
-          "short write on '%s': only %llu of %llu bytes completed at "
-          "offset %llu",
-          name_.c_str(), static_cast<unsigned long long>(done),
-          static_cast<unsigned long long>(data.size()),
-          static_cast<unsigned long long>(offset)));
-    }
-    const double backoff = rp.backoffFor(attempt, index, node.id());
-    node.clock().advance(backoff);
-    PCXX_OBS_COUNT(node.obs(), PfsRetries, 1);
-    PCXX_OBS_SECONDS(node.obs(), PfsBackoffSeconds, backoff);
-  }
-}
-
-std::uint64_t ParallelFile::performRead(rt::Node& node, std::uint64_t offset,
-                                        std::span<Byte> out,
-                                        std::uint64_t* got) {
-  const RetryPolicy rp = fs_->retryPolicy();
-  const double start = node.clock().now();
-  std::uint64_t done = 0;
-  std::uint64_t lastIndex = 0;
-  std::exception_ptr lastError;
-  for (int attempt = 1;; ++attempt) {
-    const std::uint64_t want = out.size() - done;
-    const std::uint64_t index = fs_->opCounter_.fetch_add(1);
-    lastIndex = index;
-    FaultHook hook;
-    {
-      std::lock_guard<std::mutex> lock(fs_->hookMu_);
-      hook = fs_->faultHook_;
-    }
-    OpOutcome outcome{want, false};
-    bool failed = false;
-    if (hook) {
-      OpContext ctx{name_, OpKind::Read, offset + done, want, node.id(),
-                    index};
-      ctx.outcome = &outcome;
-      try {
-        hook(ctx);
-      } catch (const CrashInjected&) {
-        throw;
-      } catch (const IoError&) {
-        failed = true;
-        lastError = std::current_exception();
-      }
-    }
-    if (!failed) {
-      if (outcome.crash) {
-        throw CrashInjected(strfmt("read on '%s' at op %llu", name_.c_str(),
-                                   static_cast<unsigned long long>(index)));
-      }
+    if (!error) {
       const std::uint64_t limit = std::min(outcome.completeBytes, want);
-      const std::uint64_t n =
-          storage_->readAt(offset + done,
-                           out.subspan(static_cast<size_t>(done),
-                                       static_cast<size_t>(limit)));
-      done += n;
-      if (done == out.size() || n < limit) {
-        // Complete, or a true end-of-file (the backend granted less than
-        // the fault-free limit): not a fault.
-        *got = done;
-        return lastIndex;
+      const size_t at = static_cast<size_t>(done);
+      const size_t n = static_cast<size_t>(limit);
+      // A crashed write keeps the prefix it applied; a crashed read reads
+      // nothing.
+      std::uint64_t moved = 0;
+      if (write) {
+        if (limit > 0) storage_->writeAt(offset + done, in.subspan(at, n));
+        moved = limit;
+      } else if (!outcome.crash) {
+        moved = storage_->readAt(offset + done, out.subspan(at, n));
       }
-      // n == limit < want: a hook-limited short read; retry the remainder.
-      lastError = nullptr;
+      done += moved;
+      if (outcome.crash) {
+        std::string msg = strfmt("%s%s on '%s' at op %llu", Charge::kLabel,
+                                 what, name_.c_str(),
+                                 static_cast<unsigned long long>(index));
+        if (write) {
+          msg.append(strfmt(": %llu of %llu bytes durable",
+                            static_cast<unsigned long long>(done),
+                            static_cast<unsigned long long>(len)));
+        }
+        throw CrashInjected(msg);
+      }
+      // Complete, or a read's true end of file (the backend granted less
+      // than the fault-free limit): not a fault.
+      if (done == len || moved < limit) {
+        charge.foldCodec(codecBefore);
+        return index;
+      }
     }
+    // Transient failure or hook-limited short completion: retry if the
+    // policy allows; a retry resumes from the completed prefix.
     if (attempt >= rp.maxAttempts ||
-        node.clock().now() - start >= rp.opDeadlineSeconds) {
-      PCXX_OBS_COUNT(node.obs(), PfsGiveUps, 1);
-      if (lastError) std::rethrow_exception(lastError);
+        charge.elapsed() - start >= rp.opDeadlineSeconds) {
+      charge.giveUp();
+      if (error) std::rethrow_exception(error);
       throw IoError(strfmt(
-          "short read on '%s': only %llu of %llu bytes completed at "
+          "short %s%s on '%s': only %llu of %llu bytes completed at "
           "offset %llu",
-          name_.c_str(), static_cast<unsigned long long>(done),
-          static_cast<unsigned long long>(out.size()),
+          Charge::kLabel, what, name_.c_str(),
+          static_cast<unsigned long long>(done),
+          static_cast<unsigned long long>(len),
           static_cast<unsigned long long>(offset)));
     }
-    const double backoff = rp.backoffFor(attempt, index, node.id());
-    node.clock().advance(backoff);
-    PCXX_OBS_COUNT(node.obs(), PfsRetries, 1);
-    PCXX_OBS_SECONDS(node.obs(), PfsBackoffSeconds, backoff);
+    charge.backOff(rp.backoffFor(attempt, index, charge.nodeId()));
   }
 }
 
 void ParallelFile::writeAtBackground(int nodeId, std::uint64_t offset,
                                      std::span<const Byte> data,
                                      BgIoStats& stats) {
-  const RetryPolicy rp = fs_->retryPolicy();
-  const CodecThreadStats codecBefore = codecThreadStats();
-  const double start = stats.backoffSeconds;
   std::uint64_t done = 0;
-  std::uint64_t lastIndex = 0;
-  std::exception_ptr lastError;
-  for (int attempt = 1;; ++attempt) {
-    const std::uint64_t want = data.size() - done;
-    const std::uint64_t index = fs_->opCounter_.fetch_add(1);
-    lastIndex = index;
-    FaultHook hook;
-    {
-      std::lock_guard<std::mutex> lock(fs_->hookMu_);
-      hook = fs_->faultHook_;
-    }
-    OpOutcome outcome{want, false};
-    bool failed = false;
-    if (hook) {
-      OpContext ctx{name_, OpKind::Write, offset + done, want, nodeId, index};
-      ctx.outcome = &outcome;
-      try {
-        hook(ctx);
-      } catch (const CrashInjected&) {
-        throw;  // fatal by contract; nothing of this attempt was applied
-      } catch (const IoError&) {
-        failed = true;
-        lastError = std::current_exception();
-      }
-    }
-    if (!failed) {
-      const std::uint64_t granted = std::min(outcome.completeBytes, want);
-      if (granted > 0) {
-        storage_->writeAt(offset + done,
-                          data.subspan(static_cast<size_t>(done),
-                                       static_cast<size_t>(granted)));
-        done += granted;
-      }
-      if (outcome.crash) {
-        throw CrashInjected(strfmt(
-            "background write on '%s' at op %llu: %llu of %llu bytes durable",
-            name_.c_str(), static_cast<unsigned long long>(index),
-            static_cast<unsigned long long>(done),
-            static_cast<unsigned long long>(data.size())));
-      }
-      if (done == data.size()) {
-        stats.writeOps += 1;
-        stats.bytesWritten += data.size();
-        foldCodecBg(stats, codecBefore);
-        runObserveHook(OpKind::Write, offset, data.size(), nodeId, lastIndex,
-                       0.0);
-        return;
-      }
-      lastError = nullptr;  // short completion, not an exception
-    }
-    // Transient failure or short completion: the accumulated modeled
-    // backoff stands in for the issuing node's clock in the deadline check.
-    if (attempt >= rp.maxAttempts ||
-        stats.backoffSeconds - start >= rp.opDeadlineSeconds) {
-      stats.giveUps += 1;
-      if (lastError) std::rethrow_exception(lastError);
-      throw IoError(strfmt(
-          "short background write on '%s': only %llu of %llu bytes "
-          "completed at offset %llu",
-          name_.c_str(), static_cast<unsigned long long>(done),
-          static_cast<unsigned long long>(data.size()),
-          static_cast<unsigned long long>(offset)));
-    }
-    stats.retries += 1;
-    stats.backoffSeconds += rp.backoffFor(attempt, index, nodeId);
-  }
+  const std::uint64_t index = transfer(BgCharge{nodeId, stats},
+                                       OpKind::Write, offset, data, {}, done);
+  stats.writeOps += 1;
+  stats.bytesWritten += data.size();
+  runObserveHook(OpKind::Write, offset, data.size(), nodeId, index, 0.0);
 }
 
 std::uint64_t ParallelFile::readAtBackground(int nodeId, std::uint64_t offset,
                                              std::span<Byte> out,
                                              BgIoStats& stats) {
-  const RetryPolicy rp = fs_->retryPolicy();
-  const CodecThreadStats codecBefore = codecThreadStats();
-  const double start = stats.backoffSeconds;
   std::uint64_t done = 0;
-  std::uint64_t lastIndex = 0;
-  std::exception_ptr lastError;
-  for (int attempt = 1;; ++attempt) {
-    const std::uint64_t want = out.size() - done;
-    const std::uint64_t index = fs_->opCounter_.fetch_add(1);
-    lastIndex = index;
-    FaultHook hook;
-    {
-      std::lock_guard<std::mutex> lock(fs_->hookMu_);
-      hook = fs_->faultHook_;
-    }
-    OpOutcome outcome{want, false};
-    bool failed = false;
-    if (hook) {
-      OpContext ctx{name_, OpKind::Read, offset + done, want, nodeId, index};
-      ctx.outcome = &outcome;
-      try {
-        hook(ctx);
-      } catch (const CrashInjected&) {
-        throw;
-      } catch (const IoError&) {
-        failed = true;
-        lastError = std::current_exception();
-      }
-    }
-    if (!failed) {
-      if (outcome.crash) {
-        throw CrashInjected(strfmt("background read on '%s' at op %llu",
-                                   name_.c_str(),
-                                   static_cast<unsigned long long>(index)));
-      }
-      const std::uint64_t limit = std::min(outcome.completeBytes, want);
-      const std::uint64_t n =
-          storage_->readAt(offset + done,
-                           out.subspan(static_cast<size_t>(done),
-                                       static_cast<size_t>(limit)));
-      done += n;
-      if (done == out.size() || n < limit) {
-        // Complete, or a true end-of-file: not a fault.
-        stats.readOps += 1;
-        stats.bytesRead += done;
-        foldCodecBg(stats, codecBefore);
-        runObserveHook(OpKind::Read, offset, out.size(), nodeId, lastIndex,
-                       0.0);
-        return done;
-      }
-      lastError = nullptr;
-    }
-    if (attempt >= rp.maxAttempts ||
-        stats.backoffSeconds - start >= rp.opDeadlineSeconds) {
-      stats.giveUps += 1;
-      if (lastError) std::rethrow_exception(lastError);
-      throw IoError(strfmt(
-          "short background read on '%s': only %llu of %llu bytes "
-          "completed at offset %llu",
-          name_.c_str(), static_cast<unsigned long long>(done),
-          static_cast<unsigned long long>(out.size()),
-          static_cast<unsigned long long>(offset)));
-    }
-    stats.retries += 1;
-    stats.backoffSeconds += rp.backoffFor(attempt, index, nodeId);
-  }
+  const std::uint64_t index = transfer(BgCharge{nodeId, stats}, OpKind::Read,
+                                       offset, {}, out, done);
+  stats.readOps += 1;
+  stats.bytesRead += done;
+  runObserveHook(OpKind::Read, offset, out.size(), nodeId, index, 0.0);
+  return done;
 }
 
 void ParallelFile::runObserveHook(OpKind kind, std::uint64_t offset,
@@ -387,9 +261,9 @@ void ParallelFile::writeAt(rt::Node& node, std::uint64_t offset,
   PCXX_OBS_COUNT(node.obs(), PfsWriteBytes, data.size());
   PCXX_OBS_HIST(node.obs(), PfsWriteSize, data.size());
   const double t0 = node.clock().now();
-  const CodecThreadStats codecBefore = codecThreadStats();
-  const std::uint64_t index = performWrite(node, offset, data);
-  foldCodecObs(node, codecBefore);
+  std::uint64_t done = 0;
+  const std::uint64_t index =
+      transfer(NodeCharge{node}, OpKind::Write, offset, data, {}, done);
   const std::uint64_t cum = cumWritten_.fetch_add(data.size()) + data.size();
   // The size probe takes a storage lock (or an fstat); skip it when the
   // model would discard it.
@@ -409,9 +283,8 @@ std::uint64_t ParallelFile::readAt(rt::Node& node, std::uint64_t offset,
   PCXX_OBS_HIST(node.obs(), PfsReadSize, out.size());
   const double t0 = node.clock().now();
   std::uint64_t n = 0;
-  const CodecThreadStats codecBefore = codecThreadStats();
-  const std::uint64_t index = performRead(node, offset, out, &n);
-  foldCodecObs(node, codecBefore);
+  const std::uint64_t index =
+      transfer(NodeCharge{node}, OpKind::Read, offset, {}, out, n);
   if (fs_->model_.enabled()) {
     fs_->model_.chargeIndependentOp(node, offset, out.size(),
                                     storage_->size(), cumWritten_.load(),
@@ -438,47 +311,39 @@ std::uint64_t ParallelFile::writeOrdered(rt::Node& node,
   PCXX_OBS_COUNT(node.obs(), PfsCollectiveOps, 1);
   PCXX_OBS_HIST(node.obs(), PfsWriteSize, myBlock.size());
   const double t0 = node.clock().now();
-  const std::uint64_t base = cursor_.load();
   const std::uint64_t cumBefore = cumWritten_.load();
-  const auto sizes = node.allgatherU64(myBlock.size());
-  std::uint64_t myOffset = base;
-  std::uint64_t total = 0;
-  std::uint64_t maxNode = 0;
-  for (int i = 0; i < node.nprocs(); ++i) {
-    if (i < node.id()) myOffset += sizes[static_cast<size_t>(i)];
-    total += sizes[static_cast<size_t>(i)];
-    maxNode = std::max(maxNode, sizes[static_cast<size_t>(i)]);
-  }
+  const Placement at = place(node, cursor_.load(), myBlock.size());
   // The node blocks tile [base, base + total): make room for all of them
   // once, so each node copies its own in parallel with its peers.
-  if (total > 0 && storage_->reserveForWrite(base, base + total)) {
-    // A reserved block stops short only when a fault hook cuts it off. Its
-    // unwritten rest may then lie below a peer's bytes, so under a hook
-    // each node zeroes its block before it writes it.
-    bool hooked = false;
-    {
-      std::lock_guard<std::mutex> lock(fs_->hookMu_);
-      hooked = static_cast<bool>(fs_->faultHook_);
+  const bool reserved =
+      at.total > 0 && storage_->reserveForWrite(at.base, at.base + at.total);
+  std::uint64_t done = 0;
+  std::uint64_t index = 0;
+  try {
+    index = transfer(NodeCharge{node}, OpKind::Write, at.mine, myBlock, {},
+                     done);
+  } catch (...) {
+    // A reserved block that stops short keeps stale memory past `done`,
+    // which a peer's bytes may put below size(): zero it.
+    if (reserved) {
+      storage_->zeroUnwritten(at.mine + done, myBlock.size() - done);
     }
-    if (hooked) storage_->zeroUnwritten(myOffset, myBlock.size());
+    throw;
   }
-  const CodecThreadStats codecBefore = codecThreadStats();
-  const std::uint64_t index = performWrite(node, myOffset, myBlock);
-  foldCodecObs(node, codecBefore);
 
   // All nodes complete the collective transfer together; charge the modeled
   // duration uniformly (the collective below also synchronizes clocks).
   node.barrier();
   const double duration = fs_->model_.collectiveBulkDuration(
-      node.nprocs(), total, maxNode, storage_->size(), cumBefore,
+      node.nprocs(), at.total, at.largest, storage_->size(), cumBefore,
       /*isWrite=*/true);
   node.clock().advance(duration);
-  cursor_.store(base + total);
-  cumWritten_.store(cumBefore + total);
+  cursor_.store(at.base + at.total);
+  cumWritten_.store(cumBefore + at.total);
   node.barrier();
-  runObserveHook(OpKind::Write, myOffset, myBlock.size(), node.id(), index,
+  runObserveHook(OpKind::Write, at.mine, myBlock.size(), node.id(), index,
                  node.clock().now() - t0);
-  return myOffset;
+  return at.mine;
 }
 
 OrderedReservation ParallelFile::reserveOrdered(rt::Node& node,
@@ -488,24 +353,18 @@ OrderedReservation ParallelFile::reserveOrdered(rt::Node& node,
   PCXX_OBS_COUNT(node.obs(), PfsWriteBytes, myBytes);
   PCXX_OBS_COUNT(node.obs(), PfsCollectiveOps, 1);
   PCXX_OBS_HIST(node.obs(), PfsWriteSize, myBytes);
-  const std::uint64_t base = cursor_.load();
   const std::uint64_t cumBefore = cumWritten_.load();
-  const auto sizes = node.allgatherU64(myBytes);
+  const Placement at = place(node, cursor_.load(), myBytes);
   OrderedReservation r;
-  r.offset = base;
-  std::uint64_t maxNode = 0;
-  for (int i = 0; i < node.nprocs(); ++i) {
-    if (i < node.id()) r.offset += sizes[static_cast<size_t>(i)];
-    r.totalBytes += sizes[static_cast<size_t>(i)];
-    maxNode = std::max(maxNode, sizes[static_cast<size_t>(i)]);
-  }
+  r.offset = at.mine;
+  r.totalBytes = at.total;
   node.barrier();
   // The file size writeOrdered's model charge would see is the region end:
   // the background transfer will have extended the file that far.
   const std::uint64_t sizeAfter =
-      std::max<std::uint64_t>(storage_->size(), base + r.totalBytes);
+      std::max<std::uint64_t>(storage_->size(), at.base + at.total);
   const double full = fs_->model_.collectiveBulkDuration(
-      node.nprocs(), r.totalBytes, maxNode, sizeAfter, cumBefore,
+      node.nprocs(), at.total, at.largest, sizeAfter, cumBefore,
       /*isWrite=*/true);
   const double syncShare =
       fs_->model_.enabled()
@@ -513,8 +372,8 @@ OrderedReservation ParallelFile::reserveOrdered(rt::Node& node,
           : 0.0;
   r.transferSeconds = std::max(0.0, full - syncShare);
   node.clock().advance(syncShare);
-  cursor_.store(base + r.totalBytes);
-  cumWritten_.store(cumBefore + r.totalBytes);
+  cursor_.store(at.base + at.total);
+  cumWritten_.store(cumBefore + at.total);
   node.barrier();
   return r;
 }
@@ -523,20 +382,9 @@ ByteBuffer ParallelFile::readOrdered(rt::Node& node, std::uint64_t myBytes,
                                      std::uint64_t expectedTotal) {
   PCXX_OBS_PHASE(node.obs(), "pfs.readOrdered", PfsReadSeconds);
   const double t0 = node.clock().now();
-  const std::uint64_t base = cursor_.load();
-  const auto sizes = node.allgatherU64(myBytes);
-  std::uint64_t myOffset = base;
-  std::uint64_t total = 0;
-  std::uint64_t maxNode = 0;
-  bool overflow = false;
-  for (int i = 0; i < node.nprocs(); ++i) {
-    const std::uint64_t sz = sizes[static_cast<size_t>(i)];
-    if (i < node.id()) myOffset += sz;
-    overflow |= __builtin_add_overflow(total, sz, &total);
-    maxNode = std::max(maxNode, sz);
-  }
+  const Placement at = place(node, cursor_.load(), myBytes);
   // Every node folds the same gathered sizes, so the verdict is collective.
-  if (overflow || total != expectedTotal) {
+  if (at.overflow || at.total != expectedTotal) {
     throw FormatError(strfmt(
         "readOrdered: file '%s': node blocks do not sum to the expected %llu "
         "bytes",
@@ -548,24 +396,22 @@ ByteBuffer ParallelFile::readOrdered(rt::Node& node, std::uint64_t myBytes,
   PCXX_OBS_HIST(node.obs(), PfsReadSize, myBytes);
   ByteBuffer myBlock(static_cast<size_t>(myBytes));
   std::uint64_t got = 0;
-  const CodecThreadStats codecBefore = codecThreadStats();
-  const std::uint64_t index = performRead(node, myOffset, myBlock, &got);
-  foldCodecObs(node, codecBefore);
-  const bool shortRead = got != myBytes;
+  const std::uint64_t index =
+      transfer(NodeCharge{node}, OpKind::Read, at.mine, {}, myBlock, got);
 
   node.barrier();
   const double duration = fs_->model_.collectiveBulkDuration(
-      node.nprocs(), total, maxNode, storage_->size(), cumWritten_.load(),
-      /*isWrite=*/false);
+      node.nprocs(), at.total, at.largest, storage_->size(),
+      cumWritten_.load(), /*isWrite=*/false);
   node.clock().advance(duration);
-  cursor_.store(base + total);
+  cursor_.store(at.base + at.total);
   node.barrier();
-  runObserveHook(OpKind::Read, myOffset, myBytes, node.id(), index,
+  runObserveHook(OpKind::Read, at.mine, myBytes, node.id(), index,
                  node.clock().now() - t0);
-  if (shortRead) {
+  if (got != myBytes) {
     throw IoError("readOrdered: file '" + name_ + "' ended early (wanted " +
                   std::to_string(myBytes) + " bytes at offset " +
-                  std::to_string(myOffset) + ", got " + std::to_string(got) +
+                  std::to_string(at.mine) + ", got " + std::to_string(got) +
                   ")");
   }
   return myBlock;

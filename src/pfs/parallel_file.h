@@ -58,7 +58,8 @@ enum class OpenMode {
 /// A transient IoError (thrown by a fault hook or the storage backend) is
 /// retried up to maxAttempts total tries; each retry first charges an
 /// exponential backoff with deterministic jitter to the issuing node's
-/// VirtualClock, so retried runs show the delay in modeled time. A short
+/// VirtualClock (a background op's to its BgIoStats), so retried runs show
+/// the delay in modeled time. A short
 /// completion (a hook granting only k of n bytes) resumes from the
 /// completed prefix rather than re-transferring it. CrashInjected and
 /// non-IoError exceptions are fatal and never retried. An op that exhausts
@@ -207,14 +208,18 @@ class ParallelFile {
   ParallelFile(Pfs* fs, std::string fsName,
                std::shared_ptr<StorageBackend> storage);
 
-  /// One storage write with fault hook, retry/backoff, and short-completion
-  /// resumption applied. Returns the op index of the last attempt.
-  std::uint64_t performWrite(rt::Node& node, std::uint64_t offset,
-                             std::span<const Byte> data);
-  /// Read counterpart; `*got` receives the bytes read (fewer than requested
-  /// only at end of file). Returns the op index of the last attempt.
-  std::uint64_t performRead(rt::Node& node, std::uint64_t offset,
-                            std::span<Byte> out, std::uint64_t* got);
+  /// The one storage op loop under every read and write: the fault hook,
+  /// RetryPolicy backoff and deadline, resumption from the completed prefix
+  /// after a short completion, and CrashInjected after a write's durable
+  /// prefix. A write takes `in`, a read fills `out` (fewer bytes only at end
+  /// of file). `charge` says where retries and codec work are accounted: a
+  /// node (clock and metrics) or a background pipeline (BgIoStats). `done`
+  /// holds the bytes transferred, also when the op throws. Returns the op
+  /// index of the last attempt.
+  template <class Charge>
+  std::uint64_t transfer(Charge charge, OpKind kind, std::uint64_t offset,
+                         std::span<const Byte> in, std::span<Byte> out,
+                         std::uint64_t& done);
   /// Runs the observe hook (post-op) with the modeled duration.
   void runObserveHook(OpKind kind, std::uint64_t offset, std::uint64_t bytes,
                       int nodeId, std::uint64_t opIndex, double duration);

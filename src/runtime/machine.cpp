@@ -575,6 +575,12 @@ void Machine::barrierSync(const char* opName,
       }
     }
   }
+#if PCXX_OBS_ENABLED
+  // A traced rt.coll span begins at arrival, so that it covers the wait.
+  obs::NodeObs* traced = applyCost ? self.obs() : nullptr;
+  if (traced != nullptr && traced->trace == nullptr) traced = nullptr;
+  const double tArr = traced != nullptr ? traced->now() : 0.0;
+#endif
   {
     std::unique_lock<std::mutex> lock(barrierMu_);
     if (aborted_.load(std::memory_order_relaxed)) {
@@ -703,14 +709,13 @@ void Machine::barrierSync(const char* opName,
         PCXX_OBS_COUNT(n.obs(), RtCollStragglerOps, 1);
       }
 #if PCXX_OBS_ENABLED
-      if (obs::NodeObs* o = n.obs(); o != nullptr && o->trace != nullptr) {
+      if (obs::NodeObs* o = traced; o != nullptr) {
         // Per-node arrival/release span plus the straggler's flow edges:
         // the last-arriving node opens one edge per peer at its release
         // point; every other node terminates its own edge inside its
         // rt.coll span, so Perfetto draws straggler→waiter causality for
         // every collective. Edge ids derive from the op id and receiver so
         // chains never collide across collectives.
-        const double tArr = o->now();
         n.clock_.syncTo(target);
         const double tRel = o->now();
         o->trace->begin(n.id_, "rt.coll", tArr);

@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <mutex>
+#include <thread>
 #include <vector>
 
 #include "src/dstream/dstream.h"
@@ -327,6 +328,204 @@ TEST(RetryPolicy, NoFaultsMeansByteIdenticalStreamFiles) {
   writeFile(retried);
 
   EXPECT_EQ(fileBytes(plain), fileBytes(retried));
+}
+
+// Background ops (the pcxx::aio flusher and prefetcher entry points) follow
+// the same retry rules, but charge a pipeline's BgIoStats instead of a node.
+// They are issued here from the test thread, as a pipeline thread would.
+pfs::ParallelFilePtr openForBackground(pfs::Pfs& fs) {
+  pfs::ParallelFilePtr f;
+  test::runSpmd(1, [&](rt::Node& node) {
+    f = fs.open(node, "bg.bin", pfs::OpenMode::Create);
+  });
+  return f;
+}
+
+ByteBuffer ramp(size_t n) {
+  ByteBuffer data(n);
+  for (size_t i = 0; i < n; ++i) data[i] = static_cast<Byte>(i);
+  return data;
+}
+
+TEST(RetryPolicy, BackgroundShortCompletionsResumeFromTheCompletedPrefix) {
+  pfs::Pfs fs = test::memFs();
+  pfs::RetryPolicy rp;
+  rp.maxAttempts = 3;
+  rp.backoffBase = 1e-6;
+  fs.setRetryPolicy(rp);
+  auto f = openForBackground(fs);
+  const ByteBuffer data = ramp(64);
+  for (const pfs::OpKind kind : {pfs::OpKind::Write, pfs::OpKind::Read}) {
+    pfs::FaultPlan plan;
+    plan.shortCompletionAtOp(fs.opCount(), 24);
+    pfs::OpRecorder rec;
+    fs.setFaultHook([&](const pfs::OpContext& op) {
+      rec.record(op);
+      plan.apply(op);
+    });
+    pfs::BgIoStats stats;
+    ByteBuffer back(64);
+    if (kind == pfs::OpKind::Write) {
+      f->writeAtBackground(0, 0, data, stats);
+    } else {
+      EXPECT_EQ(f->readAtBackground(0, 0, back, stats), 64u);
+    }
+    fs.setFaultHook(nullptr);
+
+    const auto ops = rec.ops();
+    ASSERT_EQ(ops.size(), 2u);
+    EXPECT_EQ(ops[0].offset, 0u);
+    EXPECT_EQ(ops[0].bytes, 64u);
+    EXPECT_EQ(ops[1].offset, 24u);
+    EXPECT_EQ(ops[1].bytes, 40u);
+    EXPECT_EQ(stats.retries, 1u);
+    EXPECT_EQ(stats.giveUps, 0u);
+    if (kind == pfs::OpKind::Read) {
+      EXPECT_EQ(back, data);
+    }
+  }
+}
+
+TEST(RetryPolicy, BackgroundGiveUpRethrowsTheOriginalErrorAndCountsIt) {
+  pfs::Pfs fs = test::memFs();
+  pfs::RetryPolicy rp;
+  rp.maxAttempts = 3;
+  rp.backoffBase = 1e-6;
+  fs.setRetryPolicy(rp);
+  auto f = openForBackground(fs);
+  for (const pfs::OpKind kind : {pfs::OpKind::Write, pfs::OpKind::Read}) {
+    std::atomic<int> fires{0};
+    fs.setFaultHook([&](const pfs::OpContext& op) {
+      if (op.kind == kind) {
+        fires.fetch_add(1);
+        throw IoError("device on fire");
+      }
+    });
+    pfs::BgIoStats stats;
+    ByteBuffer buf(8, Byte{1});
+    try {
+      if (kind == pfs::OpKind::Write) {
+        f->writeAtBackground(0, 0, buf, stats);
+      } else {
+        f->readAtBackground(0, 0, buf, stats);
+      }
+      ADD_FAILURE() << "the op did not give up";
+    } catch (const IoError& e) {
+      EXPECT_STREQ(e.what(), "io error: device on fire");
+    }
+    fs.setFaultHook(nullptr);
+    EXPECT_EQ(fires.load(), 3);
+    EXPECT_EQ(stats.retries, 2u);
+    EXPECT_EQ(stats.giveUps, 1u);
+  }
+}
+
+TEST(RetryPolicy, BackgroundDeadlineCountsOnlyTheOpsOwnBackoff) {
+  pfs::Pfs fs = test::memFs();
+  pfs::RetryPolicy rp;
+  rp.maxAttempts = 100;
+  rp.backoffBase = 1.0;
+  rp.backoffFactor = 1.0;
+  rp.backoffMax = 1.0;
+  rp.jitter = 0.0;
+  rp.opDeadlineSeconds = 1.5;  // room for two 1 s backoffs, not three
+  fs.setRetryPolicy(rp);
+  auto f = openForBackground(fs);
+  std::atomic<int> fires{0};
+  fs.setFaultHook([&](const pfs::OpContext&) {
+    fires.fetch_add(1);
+    throw IoError("still broken");
+  });
+  pfs::BgIoStats stats;
+  stats.backoffSeconds = 1000.0;  // earlier ops' backoff is not this op's
+  EXPECT_THROW(f->writeAtBackground(0, 0, ByteBuffer(8, Byte{1}), stats),
+               IoError);
+  fs.setFaultHook(nullptr);
+  EXPECT_EQ(fires.load(), 3);
+  EXPECT_DOUBLE_EQ(stats.backoffSeconds, 1002.0);
+  EXPECT_EQ(stats.giveUps, 1u);
+}
+
+TEST(RetryPolicy, BackgroundCrashLeavesExactlyTheDurablePrefix) {
+  pfs::Pfs fs = test::memFs();
+  pfs::RetryPolicy rp;
+  rp.maxAttempts = 50;
+  fs.setRetryPolicy(rp);
+  auto f = openForBackground(fs);
+  pfs::BgIoStats stats;
+  f->writeAtBackground(0, 0, ByteBuffer(64, Byte{0xEE}), stats);
+
+  pfs::FaultPlan plan;
+  plan.crashAtOp(fs.opCount(), 16);
+  fs.setFaultHook(plan.hook());
+  EXPECT_THROW(f->writeAtBackground(0, 0, ByteBuffer(64, Byte{0x11}), stats),
+               pfs::CrashInjected);
+  fs.setFaultHook(nullptr);
+  EXPECT_EQ(plan.firedCount(), 1u);  // one attempt, despite maxAttempts=50
+  EXPECT_EQ(stats.retries, 0u);
+
+  ByteBuffer back(64);
+  EXPECT_EQ(f->readAtBackground(0, 0, back, stats), 64u);
+  for (size_t i = 0; i < back.size(); ++i) {
+    EXPECT_EQ(back[i], i < 16 ? Byte{0x11} : Byte{0xEE}) << i;
+  }
+}
+
+TEST(RetryPolicy, BackgroundEndOfFileShortReadIsNotAFault) {
+  pfs::Pfs fs = test::memFs();
+  pfs::RetryPolicy rp;
+  rp.maxAttempts = 5;
+  fs.setRetryPolicy(rp);
+  auto f = openForBackground(fs);
+  pfs::BgIoStats stats;
+  f->writeAtBackground(0, 0, ByteBuffer(10, Byte{7}), stats);
+  const std::uint64_t opsBefore = fs.opCount();
+  ByteBuffer out(64);
+  EXPECT_EQ(f->readAtBackground(0, 0, out, stats), 10u);  // EOF, not an error
+  EXPECT_EQ(fs.opCount() - opsBefore, 1u);                 // and not retried
+  EXPECT_EQ(stats.retries, 0u);
+  EXPECT_DOUBLE_EQ(stats.backoffSeconds, 0.0);
+  EXPECT_EQ(stats.readOps, 1u);
+  EXPECT_EQ(stats.bytesRead, 10u);
+}
+
+TEST(RetryPolicy, BackgroundRetriesLeaveEveryNodeClockUnchanged) {
+  pfs::Pfs fs = test::memFs();
+  pfs::RetryPolicy rp;
+  rp.maxAttempts = 5;
+  rp.backoffBase = 0.25;
+  rp.jitter = 0.0;
+  fs.setRetryPolicy(rp);
+  std::atomic<int> writeFailures{2};
+  std::atomic<int> readFailures{2};
+  fs.setFaultHook([&](const pfs::OpContext& op) {
+    auto& left = op.kind == pfs::OpKind::Write ? writeFailures : readFailures;
+    if (left.fetch_sub(1) > 0) throw IoError("injected transient");
+  });
+  pfs::BgIoStats stats;
+  test::runSpmd(2, [&](rt::Node& node) {
+    auto f = fs.open(node, "bg.bin", pfs::OpenMode::Create);
+    const double before = node.clock().now();
+    if (node.id() == 0) {
+      std::thread helper([&] {
+        try {
+          const ByteBuffer data = ramp(32);
+          f->writeAtBackground(0, 0, data, stats);  // two failures
+          ByteBuffer back(32);
+          EXPECT_EQ(f->readAtBackground(0, 0, back, stats), 32u);  // two more
+          EXPECT_EQ(back, data);
+        } catch (const std::exception& e) {
+          ADD_FAILURE() << e.what();
+        }
+      });
+      helper.join();
+    }
+    node.barrier();
+    EXPECT_DOUBLE_EQ(node.clock().now(), before) << "node " << node.id();
+  });
+  fs.setFaultHook(nullptr);
+  EXPECT_EQ(stats.retries, 4u);
+  EXPECT_DOUBLE_EQ(stats.backoffSeconds, 2 * (0.25 + 0.5));
 }
 
 TEST(RetryPolicy, RejectsZeroAttempts) {

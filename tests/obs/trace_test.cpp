@@ -5,12 +5,15 @@
 // single byte of the stream file it observes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/dstream/dstream.h"
@@ -326,6 +329,33 @@ TEST_F(TraceGolden, WriteJsonProducesLoadableFile) {
   ss << in.rdbuf();
   EXPECT_TRUE(test::JsonChecker::valid(ss.str())) << ss.str();
   EXPECT_NE(ss.str().find("\"value\": 42.000"), std::string::npos);
+}
+
+// A node's rt.coll span covers its wait at the rendezvous: in wall time it
+// begins when the node arrives, not when the last peer releases it.
+TEST_F(TraceGolden, WallTimeCollSpanCoversTheWaitForALatePeer) {
+  obs::TraceSession trace(2);
+  obs::Observer observer;
+  observer.trace = &trace;
+  observer.timeMode = obs::Observer::TimeMode::Wall;
+  rt::Machine m(2);
+  m.attachObserver(observer);
+  m.run([](rt::Node& node) {
+    if (node.id() == 1) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    node.barrier();
+  });
+  m.detachObserver();
+
+  double longest = -1.0;  // microseconds
+  double begin = 0.0;
+  for (const Ev& e : parseEvents(trace.toJson())) {
+    if (e.tid != 0 || e.name != "rt.coll") continue;
+    if (e.phase == 'B') begin = e.ts;
+    if (e.phase == 'E') longest = std::max(longest, e.ts - begin);
+  }
+  EXPECT_GE(longest, 4000.0) << "node 0's wait is missing from its rt.coll";
 }
 
 #endif  // PCXX_OBS_ENABLED

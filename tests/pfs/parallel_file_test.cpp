@@ -2,6 +2,8 @@
 // cursor, namespace semantics, and cross-machine persistence.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
 #include <filesystem>
 
 #include "src/pfs/fault_plan.h"
@@ -255,14 +257,18 @@ TEST(ParallelFile, PosixBackendWritesRealFiles) {
   std::filesystem::remove_all(dir);
 }
 
-// A 4-node writeOrdered in which node 2 applies only its first 100 bytes
-// and then gives up or crashes (FaultPlan `shape`@2:100, with the op index
-// renumbered to the node id) while node 3 completes. The file first held
+// A 4-node writeOrdered in which node 2 meets the FaultPlan `spec` under
+// `maxAttempts` tries per op while its peers complete. The plan sees each
+// op renumbered to node id + 4 x the node's attempt, so "fail@2;short@6:16"
+// fails node 2's first try and cuts its second short. The file first held
 // other bytes and was truncated, so the memory it kept is stale: node 2's
-// unwritten rest must still read as zeros, and size() is node 3's end.
-void collectiveWithNode2Faulted(const std::string& shape, bool expectCrash) {
+// block must read back its first `applied` bytes and zeros after them, and
+// size() is node 3's end.
+enum class Node2 { Completes, GivesUp, Crashes };
+
+void collectiveWithNode2Plan(const std::string& spec, int maxAttempts,
+                             std::uint64_t applied, Node2 outcome) {
   constexpr std::uint64_t kBlock = 4096;
-  constexpr std::uint64_t kApplied = 100;
   Pfs fs{PfsConfig{}};
   rt::Machine m(4);
   m.run([&](rt::Node& node) {
@@ -273,10 +279,15 @@ void collectiveWithNode2Faulted(const std::string& shape, bool expectCrash) {
     if (node.id() == 0) fs.truncateFile("holes", 0);
     f->seekShared(node, 0);
   });
-  FaultPlan plan = FaultPlan::parse(shape + "@2:" + std::to_string(kApplied));
-  fs.setFaultHook([&plan](const OpContext& op) {
+  RetryPolicy rp;
+  rp.maxAttempts = maxAttempts;
+  fs.setRetryPolicy(rp);
+  FaultPlan plan = FaultPlan::parse(spec);
+  std::array<std::atomic<std::uint64_t>, 4> attempts{};
+  fs.setFaultHook([&plan, &attempts](const OpContext& op) {
     OpContext byNode = op;
-    byNode.opIndex = static_cast<std::uint64_t>(op.nodeId);
+    byNode.opIndex = static_cast<std::uint64_t>(op.nodeId) +
+                     4 * attempts[static_cast<size_t>(op.nodeId)]++;
     plan.apply(byNode);
   });
   const auto faulted = [&] {
@@ -286,13 +297,19 @@ void collectiveWithNode2Faulted(const std::string& shape, bool expectCrash) {
                       ByteBuffer(kBlock, static_cast<Byte>(node.id() + 1)));
     });
   };
-  if (expectCrash) {
-    EXPECT_THROW(faulted(), CrashInjected);
-  } else {
-    EXPECT_THROW(faulted(), IoError);
+  switch (outcome) {
+    case Node2::Completes:
+      EXPECT_NO_THROW(faulted());
+      break;
+    case Node2::GivesUp:
+      EXPECT_THROW(faulted(), IoError);
+      break;
+    case Node2::Crashes:
+      EXPECT_THROW(faulted(), CrashInjected);
+      break;
   }
   fs.setFaultHook(nullptr);
-  EXPECT_EQ(plan.firedCount(), 1u);
+  EXPECT_EQ(plan.firedCount(), plan.clauseCount());
 
   EXPECT_EQ(fs.storedFileSize("holes"), 4 * kBlock);
   m.run([&](rt::Node& node) {
@@ -305,15 +322,26 @@ void collectiveWithNode2Faulted(const std::string& shape, bool expectCrash) {
     for (std::uint64_t i = 0; i < all.size(); ++i) {
       const std::uint64_t owner = i / kBlock;
       Byte want = static_cast<Byte>(owner + 1);
-      if (owner == 2 && i % kBlock >= kApplied) want = 0;
+      if (owner == 2 && i % kBlock >= applied) want = 0;
       wrong += all[i] != want;
     }
-    EXPECT_EQ(wrong, 0u);
+    EXPECT_EQ(wrong, 0u) << spec;
   });
+}
+
+// Node 2 applies only its first 100 bytes and then gives up or crashes.
+void collectiveWithNode2Faulted(const std::string& shape, bool expectCrash) {
+  collectiveWithNode2Plan(shape + "@2:100", 1, 100,
+                          expectCrash ? Node2::Crashes : Node2::GivesUp);
 }
 
 TEST(ParallelFile, GivenUpBlockReadsAsZerosBelowAPeersBytes) {
   collectiveWithNode2Faulted("short", /*expectCrash=*/false);
+  // A retried block completes over the stale memory and reads back exact.
+  collectiveWithNode2Plan("fail@2", 3, 4096, Node2::Completes);
+  // Progress on a retry, then a give-up: zeros from the bytes it applied.
+  collectiveWithNode2Plan("fail@2;short@6:100;fail@10", 3, 100,
+                          Node2::GivesUp);
 }
 
 TEST(ParallelFile, CrashedBlockReadsAsZerosBelowAPeersBytes) {
